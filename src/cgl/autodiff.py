@@ -2,7 +2,10 @@
 
 A :class:`Tape` records one forward pass as a Wengert list; ``Tape.backward``
 walks the list once in reverse and accumulates gradients into the tracked
-leaf tensors. Tapes are single-use: a second backward raises :class:`TapeError`.
+leaf tensors. Tapes are single-use: a second backward raises :class:`TapeError`,
+and backward releases the recorded entries, so each intermediate gradient is
+freed once it has been propagated. Ops compute no gradient for an untracked
+operand.
 
 Broadcasting in the binary elementwise ops is restricted to the two cases the
 models here actually need: a scalar operand, or an operand whose shape is a
@@ -136,7 +139,6 @@ class Tape:
         self._leaves: list[Tensor] = []
         self._count = 0
         self._spent = False
-        self.grads: dict[int, np.ndarray] = {}
 
     def _fresh_id(self) -> int:
         self._count += 1
@@ -167,9 +169,10 @@ class Tape:
         if loss.values.size != 1:
             raise DimensionError(f"backward() needs a scalar loss, got shape {loss.shape}")
         self._spent = True
-        grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
+        seed = np.ones_like(loss.values)
+        grads: dict[int, np.ndarray] = {loss.node_id: seed}
         for out_id, in_ids, backward_fn in reversed(self._entries):
-            g = grads.get(out_id)
+            g = grads.pop(out_id, None)
             if g is None:  # branch that never reached the loss
                 continue
             for in_id, gi in zip(in_ids, backward_fn(g)):
@@ -177,14 +180,14 @@ class Tape:
                     continue
                 have = grads.get(in_id)
                 grads[in_id] = gi if have is None else have + gi
-        self.grads = grads
-        loss.grad = grads[loss.node_id]
+        loss.grad = seed
         for t in self._leaves:
             g = grads.get(t.node_id)
             t.grad = np.zeros_like(t.values) if g is None else np.asarray(g, dtype=np.float64)
-
-    def grad_of(self, t: Tensor) -> np.ndarray | None:
-        return self.grads.get(t.node_id)
+        # Tensors point at their tape; dropping the tape's references back to
+        # them breaks the cycle, so the tape is freed without the collector.
+        self._entries = []
+        self._leaves = []
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +241,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=tuple(range(extra)))
 
 
-def _binary(a, b, forward, backward_pair) -> Tensor:
+def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if not _broadcast_ok(a.shape, b.shape):
         raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}")
     av, bv = a.values, b.values
+    need_a, need_b = a.tracked, b.tracked
 
     def backward(g):
-        ga, gb = backward_pair(g, av, bv)
-        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
+        return (_unbroadcast(grad_a(g, av, bv), av.shape) if need_a else None,
+                _unbroadcast(grad_b(g, av, bv), bv.shape) if need_b else None)
 
     return _emit(_tape_of(a, b), forward(av, bv), (a, b), backward)
 
@@ -256,15 +260,15 @@ def _binary(a, b, forward, backward_pair) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: (g, g))
+    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: (g, -g))
+    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: (g * y, g * x))
+    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def sigmoid(x) -> Tensor:
@@ -343,15 +347,19 @@ def matmul(a, b) -> Tensor:
         out = out[0]
     if bv.ndim == 1:
         out = out[..., 0]
+    need_a, need_b = a.tracked, b.tracked
 
     def backward(g):
         g2 = g.reshape(out2.shape)
-        ga = g2 @ b2.T
-        gb = a2.T @ g2
-        if av.ndim == 1:
-            ga = ga[0]
-        if bv.ndim == 1:
-            gb = gb[:, 0]
+        ga = gb = None
+        if need_a:
+            ga = g2 @ b2.T
+            if av.ndim == 1:
+                ga = ga[0]
+        if need_b:
+            gb = a2.T @ g2
+            if bv.ndim == 1:
+                gb = gb[:, 0]
         return ga, gb
 
     return _emit(_tape_of(a, b), out, (a, b), backward)

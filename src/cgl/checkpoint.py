@@ -5,20 +5,24 @@ The manifest lists every array's name, shape, and byte offset into
 inference needs without the original training files: the model config, the
 padded hierarchy edges, the code-to-leaf map, the note vocabulary with
 document frequencies, batch-norm step counts, and the split settings used
-in training. Loaded models serve the frozen inference path only.
+in training.
+
+``load_checkpoint`` returns a :class:`~cgl.model.FrozenScorer`: it reads only
+the arrays the scorer uses, each at its manifest offset, and checks each
+shape against the config. The graph-side weights, the patient embeddings and
+the batch-norm state stay in the blob, and no graph is rebuilt.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import sparse
 
-from .graphs import ObservationGraph, OntologyAdjacency
-from .model import CollaborativeGraphModel, ModelConfig
+from .model import CollaborativeGraphModel, FrozenScorer, ModelConfig, ModelParams
 from .ontology import OntologyTree, load_ontology
 from .text import Vocabulary
 
@@ -84,15 +88,25 @@ def save_checkpoint(out_dir, model: CollaborativeGraphModel, vocab: Vocabulary,
     return out_dir
 
 
-def _read_arrays(path: Path, entries: list[dict]) -> dict[str, np.ndarray]:
-    blob = path.read_bytes()
+def _read_arrays(path: Path, entries: list[dict],
+                 shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Read the named arrays from the blob, checking each against its shape."""
+    by_name = {entry["name"]: entry for entry in entries}
     out = {}
-    for entry in entries:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count,
-                            offset=entry["offset"]).astype(np.float64)
-        out[entry["name"]] = arr.reshape(shape)
+    with open(path, "rb") as fh:
+        for name, shape in shapes.items():
+            entry = by_name.get(name)
+            if entry is None:
+                raise ValueError(f"checkpoint has no array {name!r}")
+            stored = tuple(entry["shape"])
+            if stored != shape:
+                raise ValueError(f"array {name!r} shape {stored} != expected {shape}")
+            count = math.prod(shape)
+            fh.seek(entry["offset"])
+            arr = np.fromfile(fh, dtype="<f8", count=count)
+            if arr.size != count:
+                raise ValueError(f"array {name!r} runs past the end of {path.name}")
+            out[name] = arr.astype(np.float64, copy=False).reshape(shape)
     return out
 
 
@@ -104,7 +118,7 @@ def _rebuild_tree(manifest: dict) -> OntologyTree:
 
 
 def load_checkpoint(in_dir) -> SimpleNamespace:
-    """Rebuild an inference-ready model; the training graphs are not restored."""
+    """Load the frozen scorer with the hierarchy and vocabulary it needs."""
     in_dir = Path(in_dir)
     with open(in_dir / MANIFEST_NAME, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -112,32 +126,16 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     config = ModelConfig.from_dict(manifest["config"])
     tree = _rebuild_tree(manifest)
-    arrays = _read_arrays(in_dir / BLOB_NAME, manifest["arrays"])
-
-    n = tree.n_leaves
-    observation = ObservationGraph(np.zeros((manifest["n_patients"], n)), {})
-    adjacency = OntologyAdjacency(
-        np.zeros((n, n), dtype=np.int64), np.zeros((n, n)),
-        sparse.csr_matrix((n, n), dtype=np.float64))
     vocab_entries = manifest["vocab"]["entries"]
     vocab = Vocabulary(
         word_index={w: int(ix) for w, ix, _ in vocab_entries},
         doc_freq={w: int(df) for w, _, df in vocab_entries},
         doc_count=int(manifest["vocab"]["doc_count"]),
     )
-
-    model = CollaborativeGraphModel(config, tree, observation, adjacency,
-                                    vocab_size=len(vocab), seed=0)
-    for name, arr in model.params.arrays.items():
-        stored = arrays[name]
-        if stored.shape != arr.shape:
-            raise ValueError(f"array {name!r} shape {stored.shape} != expected {arr.shape}")
-        model.params.arrays[name] = stored.copy()
-    for name, state in model.params.bn.items():
-        state.running_mean = arrays[f"{name}_running_mean"].copy()
-        state.running_var = arrays[f"{name}_running_var"].copy()
-        state.steps = int(manifest["bn"][name]["steps"])
-    model.frozen_code_repr = arrays["frozen_code_repr"].copy()
+    arrays = _read_arrays(in_dir / BLOB_NAME, manifest["arrays"],
+                          FrozenScorer.array_shapes(config, tree.n_leaves, len(vocab)))
+    frozen = arrays.pop("frozen_code_repr")
+    model = FrozenScorer(config, ModelParams(arrays), frozen)
 
     return SimpleNamespace(
         model=model, tree=tree, vocab=vocab, config=config,

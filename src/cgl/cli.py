@@ -21,7 +21,7 @@ from .data import (DataError, GeneratorConfig, generate_synthetic, load_dataset,
 from .experiment import TrainSettings, assemble, derive_seeds, history_to_example
 from .experiment import train as run_training
 from .graphs import export_adjacency
-from .metrics import top_k_indices
+from .metrics import rank_codes, top_k_hits, top_k_indices
 from .model import (ModelConfig, TrainingDivergenceError, compute_metrics,
                     default_note_loss_weight, predict_scores, prepare_examples)
 from .ontology import OntologyError, ancestor_path, load_ontology
@@ -284,8 +284,9 @@ def cmd_evaluate(args) -> int:
     examples = _split_examples(bundle, opts.require("dataset"), tag)
     ks = opts.get_ints("k", bundle.metric_ks)
     scores = predict_scores(bundle.model, examples)
+    ranks = rank_codes(scores) if bundle.task == "diagnosis" else None
     report = compute_metrics(scores, examples, bundle.task, ks,
-                             include_onset=bundle.task == "diagnosis")
+                             include_onset=bundle.task == "diagnosis", ranks=ranks)
     lines = [f"{name}\t{format_value(value)}" for name, value in report.items()]
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
@@ -293,15 +294,10 @@ def cmd_evaluate(args) -> int:
 
     if bundle.task == "diagnosis":
         labels = np.stack([ex.label_vec for ex in examples])
-        rows = []
-        for i, ex in enumerate(examples):
-            positives = np.nonzero(labels[i])[0]
-            row = [ex.pid, len(positives)]
-            for k in ks:
-                top = top_k_indices(scores[i], k)
-                hits = np.intersect1d(top, positives).size
-                row.append(hits / positives.size if positives.size else 0.0)
-            rows.append(row)
+        n_pos = (labels != 0).sum(axis=1).tolist()
+        hits = [top_k_hits(ranks, labels, k).tolist() for k in ks]
+        rows = [[ex.pid, n_pos[i]] + [h[i] / n_pos[i] if n_pos[i] else 0.0 for h in hits]
+                for i, ex in enumerate(examples)]
         write_csv(out_dir / "per_patient.csv",
                   ["patient", "positives"] + [f"r{k}" for k in ks], rows)
     else:

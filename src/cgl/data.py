@@ -85,12 +85,6 @@ class EhrDataset:
         codes = {c for p in self.patients for v in p.visits for c in v.codes}
         return sorted(codes)
 
-    def by_id(self, pid: str) -> Patient:
-        for p in self.patients:
-            if p.pid == pid:
-                return p
-        raise KeyError(pid)
-
 
 def patient_document(patient: Patient) -> list[str]:
     """All feature-visit note tokens, concatenated: one document per patient."""

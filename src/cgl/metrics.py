@@ -16,6 +16,8 @@ __all__ = [
     "recall_at_k",
     "auc",
     "top_k_indices",
+    "rank_codes",
+    "top_k_hits",
     "onset_split_recall",
 ]
 
@@ -75,28 +77,42 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
-def recall_at_k(scores, labels, k: int) -> float:
+def rank_codes(scores) -> np.ndarray:
+    """Each code's position in its row's descending score order, 0 first.
+
+    Ties break toward the lower index, as in :func:`top_k_indices`, so a code
+    is in its row's top k exactly when its rank is below k. One ranking
+    serves every k.
+    """
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(order.shape[-1]), axis=-1)
+    return ranks
+
+
+def top_k_hits(ranks: np.ndarray, labels, k: int) -> np.ndarray:
+    """Per patient, the number of labelled codes that rank in the top k."""
+    return ((np.asarray(labels) != 0) & (ranks < k)).sum(axis=-1)
+
+
+def recall_at_k(scores, labels, k: int, ranks: np.ndarray | None = None) -> float:
     """Mean over patients of |top-k hits| / |positives|.
 
     Patients without positives are excluded from the mean; if every patient
-    lacks positives the metric is degenerate.
+    lacks positives the metric is degenerate. ``ranks`` is
+    :func:`rank_codes` of ``scores``, for callers that reuse one ranking.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     scores, labels = _validate_pair(scores, labels)
     if scores.ndim != 2:
         raise ValueError("recall_at_k expects (patients, classes) matrices")
-    values = []
-    for row_scores, row_labels in zip(scores, labels):
-        positives = np.nonzero(row_labels)[0]
-        if positives.size == 0:
-            continue
-        top = top_k_indices(row_scores, k)
-        hits = np.intersect1d(top, positives).size
-        values.append(hits / positives.size)
-    if not values:
+    n_pos = (labels != 0).sum(axis=1)
+    have = n_pos > 0
+    if not have.any():
         raise ValueError("recall_at_k is undefined: no patient has positive labels")
-    return float(np.mean(values))
+    hits = top_k_hits(rank_codes(scores) if ranks is None else ranks, labels, k)
+    return float(np.mean(hits[have] / n_pos[have]))
 
 
 def auc(scores, labels) -> float:
@@ -116,31 +132,28 @@ def auc(scores, labels) -> float:
     return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def onset_split_recall(scores, labels, occurred, k: int) -> tuple[float, float]:
+def onset_split_recall(scores, labels, occurred, k: int,
+                       ranks: np.ndarray | None = None) -> tuple[float, float]:
     """Top-k recall split into previously-occurred vs new-onset positives.
 
     ``occurred`` flags, per patient and code, whether the code appeared in
     any feature visit. Both parts keep the full positive count as the
     denominator, so for a patient with both groups the parts sum to that
     patient's overall recall. Each part is averaged over the patients whose
-    group is non-empty; an empty cohort yields NaN for that part.
+    group is non-empty; an empty cohort yields NaN for that part. ``ranks``
+    is :func:`rank_codes` of ``scores``, as in :func:`recall_at_k`.
     """
     scores, labels = _validate_pair(scores, labels)
     occurred = np.asarray(occurred)
     if occurred.shape != scores.shape:
         raise ValueError(f"occurred shape {occurred.shape} != scores shape {scores.shape}")
-    occ_values, new_values = [], []
-    for row_scores, row_labels, row_occ in zip(scores, labels, occurred):
-        positives = np.nonzero(row_labels)[0]
-        if positives.size == 0:
-            continue
-        top = top_k_indices(row_scores, k)
-        occ_set = positives[row_occ[positives] != 0]
-        new_set = positives[row_occ[positives] == 0]
-        if occ_set.size:
-            occ_values.append(np.intersect1d(top, occ_set).size / positives.size)
-        if new_set.size:
-            new_values.append(np.intersect1d(top, new_set).size / positives.size)
-    occ = float(np.mean(occ_values)) if occ_values else float("nan")
-    new = float(np.mean(new_values)) if new_values else float("nan")
-    return occ, new
+    if ranks is None:
+        ranks = rank_codes(scores)
+    truth = labels != 0
+    n_pos = truth.sum(axis=1)
+    parts = []
+    for group in (truth & (occurred != 0), truth & (occurred == 0)):
+        has = group.any(axis=1)
+        values = top_k_hits(ranks, group, k)[has] / n_pos[has]
+        parts.append(float(np.mean(values)) if values.size else float("nan"))
+    return parts[0], parts[1]

@@ -20,7 +20,10 @@ One forward pass:
    the loss is mean cross-entropy plus the weighted penalty.
 
 Inference freezes the trained code features and re-runs only steps 3-5, so
-patients outside the training graph need no patient embedding.
+patients outside the training graph need no patient embedding. Those steps
+live in :class:`FrozenScorer`; :class:`CollaborativeGraphModel` extends it
+with steps 1-2 and training, so training and inference share one patient
+encoder.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from . import metrics as metrics_mod
 __all__ = [
     "ModelConfig",
     "ModelParams",
+    "FrozenScorer",
     "CollaborativeGraphModel",
     "PatientExample",
     "AdamOptimizer",
@@ -219,7 +223,113 @@ def rectified_penalty(alpha: ad.Tensor | None, beta: np.ndarray) -> ad.Tensor:
     return ad.mul(ad.reduce_sum(inner), -1.0)
 
 
-class CollaborativeGraphModel:
+class FrozenScorer:
+    """Steps 3-5 on frozen code features: the inference path.
+
+    Holds the config, the frozen code features and the temporal, note and
+    head arrays named by :meth:`array_shapes`. ``load_checkpoint`` builds one
+    straight from a checkpoint, without the graphs.
+    """
+
+    def __init__(self, config: ModelConfig, params: ModelParams,
+                 frozen_code_repr: np.ndarray | None = None):
+        self.config = config
+        self.params = params
+        self.frozen_code_repr = frozen_code_repr
+
+    @staticmethod
+    def array_shapes(config: ModelConfig, n_codes: int,
+                     vocab_size: int) -> dict[str, tuple[int, ...]]:
+        """The shape the config implies for every array a scorer reads."""
+        d_in, h = config.code_layer_dims[-1], config.gru_hidden
+        out_dim = n_codes if config.task == "diagnosis" else 1
+        shapes = {"frozen_code_repr": (n_codes, d_in)}
+        for gate in ("update", "reset", "cand"):
+            shapes[f"gru_in_{gate}"] = (d_in, h)
+            shapes[f"gru_state_{gate}"] = (h, h)
+            shapes[f"gru_bias_{gate}"] = (h,)
+        shapes.update(visit_context=(h,), word_embed=(vocab_size, config.word_dim),
+                      word_proj=(config.word_dim, h), head_weight=(2 * h, out_dim),
+                      head_bias=(out_dim,))
+        return shapes
+
+    def _constants(self) -> dict[str, ad.Tensor]:
+        return {name: ad.constant(arr) for name, arr in self.params.arrays.items()}
+
+    def visit_embedding(self, h_c: ad.Tensor, code_idx: np.ndarray) -> ad.Tensor:
+        if code_idx.size == 0:
+            raise ValueError("a visit must carry at least one code")
+        return ad.reduce_mean(ad.gather_rows(h_c, code_idx), axis=0)
+
+    def encode_visits(self, leaves, visit_vecs: list[ad.Tensor]):
+        """GRU over the visit sequence plus location attention.
+
+        Gates: z = sig(xW+hU+b), r = sig(xW'+hU'+b'), n = tanh(xW''+(r*h)U''+b''),
+        h' = z*h + (1-z)*n, from a zero initial state.
+        """
+        if not visit_vecs:
+            raise ValueError("need at least one visit")
+        cfg = self.config
+        d_in = cfg.code_layer_dims[-1]
+        h = ad.constant(np.zeros((1, cfg.gru_hidden)))
+        rows = None
+        for v in visit_vecs:
+            x = ad.reshape(v, (1, d_in))
+            z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_update"]),
+                                         ad.matmul(h, leaves["gru_state_update"])),
+                                  leaves["gru_bias_update"]))
+            r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_reset"]),
+                                         ad.matmul(h, leaves["gru_state_reset"])),
+                                  leaves["gru_bias_reset"]))
+            cand = ad.tanh(ad.add(ad.add(ad.matmul(x, leaves["gru_in_cand"]),
+                                         ad.matmul(ad.mul(r, h), leaves["gru_state_cand"])),
+                                  leaves["gru_bias_cand"]))
+            h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), cand))
+            rows = h if rows is None else ad.concat(rows, h, axis=0)
+        alpha = ad.softmax(ad.matmul(rows, leaves["visit_context"]), axis=0)
+        o_v = ad.matmul(alpha, rows)
+        return rows, alpha, o_v
+
+    def note_attention(self, leaves, token_idx: np.ndarray, o_v: ad.Tensor):
+        """Attention over projected word embeddings with o_v as context."""
+        if token_idx.size == 0:
+            return None, ad.constant(np.zeros(self.config.gru_hidden))
+        words = ad.gather_rows(leaves["word_embed"], token_idx)
+        projected = ad.matmul(words, leaves["word_proj"])
+        alpha = ad.softmax(ad.matmul(projected, o_v), axis=0)
+        o_n = ad.matmul(alpha, projected)
+        return alpha, o_n
+
+    def patient_forward(self, leaves, h_c: ad.Tensor, example: PatientExample):
+        """Scores and note attention for one patient given code features."""
+        visit_vecs = [self.visit_embedding(h_c, idx) for idx in example.visit_codes]
+        _, _, o_v = self.encode_visits(leaves, visit_vecs)
+        if self.config.use_notes:
+            note_alpha, o_n = self.note_attention(leaves, example.note_tokens, o_v)
+        else:
+            note_alpha, o_n = None, ad.constant(np.zeros(self.config.gru_hidden))
+        out = ad.concat(o_v, o_n, axis=0)
+        logits = ad.add(ad.matmul(out, leaves["head_weight"]), leaves["head_bias"])
+        return ad.sigmoid(logits), note_alpha
+
+    def predict_example(self, example: PatientExample):
+        """Frozen-feature scores and note attention for one patient."""
+        if self.frozen_code_repr is None:
+            raise RuntimeError("freeze_code_embeddings() must run before inference")
+        leaves = self._constants()
+        h_c = ad.constant(self.frozen_code_repr)
+        y_hat, note_alpha = self.patient_forward(leaves, h_c, example)
+        alpha = None if note_alpha is None else note_alpha.values.copy()
+        return y_hat.values.copy(), alpha
+
+
+class CollaborativeGraphModel(FrozenScorer):
+    """The trainable model: the graph layers (steps 1-2) on top of the scorer.
+
+    ``freeze_code_embeddings`` sets the scorer's code features from an
+    inference-mode graph pass over the current arrays.
+    """
+
     def __init__(self, config: ModelConfig, tree: OntologyTree,
                  observation: ObservationGraph, adjacency: OntologyAdjacency,
                  vocab_size: int, seed: int = 0):
@@ -235,7 +345,6 @@ class CollaborativeGraphModel:
         self.obs_matrix_t = np.ascontiguousarray(self.obs_matrix.T)
         self.link_levels = adjacency.dense_adjacency()
         self.link_support = (self.link_levels != 0).astype(np.float64)
-        self.frozen_code_repr: np.ndarray | None = None
 
         # per-level ancestor index of every leaf, for the hierarchical lookup
         k = tree.levels
@@ -244,7 +353,7 @@ class CollaborativeGraphModel:
             for lvl, name in enumerate(ancestor_path(tree, i)):
                 self.level_indices[lvl][i] = tree.level_rank[name]
 
-        self.params = self._init_params(np.random.default_rng(seed))
+        super().__init__(config, self._init_params(np.random.default_rng(seed)))
 
     # -- parameters --------------------------------------------------------
 
@@ -278,24 +387,15 @@ class CollaborativeGraphModel:
             p.add(f"graph_{l}_bn_code_shift", np.zeros(code_dims[l + 1]))
             p.bn[f"graph_{l}_bn_code"] = ad.BatchNormState(code_dims[l + 1])
 
-        d_in, h = code_dims[-1], cfg.gru_hidden
-        for gate in ("update", "reset", "cand"):
-            p.add(f"gru_in_{gate}", _glorot(rng, d_in, h))
-            p.add(f"gru_state_{gate}", _glorot(rng, h, h))
-            p.add(f"gru_bias_{gate}", np.zeros(h))
-        p.add("visit_context", _glorot(rng, h, 1).reshape(h))
-        p.add("word_embed", _glorot(rng, self.vocab_size, cfg.word_dim))
-        p.add("word_proj", _glorot(rng, cfg.word_dim, h))
-        out_dim = self.n_codes if cfg.task == "diagnosis" else 1
-        p.add("head_weight", _glorot(rng, 2 * h, out_dim))
-        p.add("head_bias", np.zeros(out_dim))
+        shapes = self.array_shapes(cfg, self.n_codes, self.vocab_size)
+        del shapes["frozen_code_repr"]
+        for name, shape in shapes.items():  # this order fixes the draws; biases start at 0
+            p.add(name, np.zeros(shape) if "bias" in name
+                  else _glorot(rng, shape[0], math.prod(shape[1:])).reshape(shape))
         return p
 
     def _leaves(self, tape: ad.Tape) -> dict[str, ad.Tensor]:
         return {name: tape.leaf(arr) for name, arr in self.params.arrays.items()}
-
-    def _constants(self) -> dict[str, ad.Tensor]:
-        return {name: ad.constant(arr) for name, arr in self.params.arrays.items()}
 
     # -- graph side ---------------------------------------------------------
 
@@ -359,64 +459,6 @@ class CollaborativeGraphModel:
         self.frozen_code_repr = h_c.values.copy()
         return self.frozen_code_repr
 
-    # -- temporal and note side ---------------------------------------------
-
-    def visit_embedding(self, h_c: ad.Tensor, code_idx: np.ndarray) -> ad.Tensor:
-        if code_idx.size == 0:
-            raise ValueError("a visit must carry at least one code")
-        return ad.reduce_mean(ad.gather_rows(h_c, code_idx), axis=0)
-
-    def encode_visits(self, leaves, visit_vecs: list[ad.Tensor]):
-        """GRU over the visit sequence plus location attention.
-
-        Gates: z = sig(xW+hU+b), r = sig(xW'+hU'+b'), n = tanh(xW''+(r*h)U''+b''),
-        h' = z*h + (1-z)*n, from a zero initial state.
-        """
-        if not visit_vecs:
-            raise ValueError("need at least one visit")
-        cfg = self.config
-        d_in = cfg.code_layer_dims[-1]
-        h = ad.constant(np.zeros((1, cfg.gru_hidden)))
-        rows = None
-        for v in visit_vecs:
-            x = ad.reshape(v, (1, d_in))
-            z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_update"]),
-                                         ad.matmul(h, leaves["gru_state_update"])),
-                                  leaves["gru_bias_update"]))
-            r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_reset"]),
-                                         ad.matmul(h, leaves["gru_state_reset"])),
-                                  leaves["gru_bias_reset"]))
-            cand = ad.tanh(ad.add(ad.add(ad.matmul(x, leaves["gru_in_cand"]),
-                                         ad.matmul(ad.mul(r, h), leaves["gru_state_cand"])),
-                                  leaves["gru_bias_cand"]))
-            h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), cand))
-            rows = h if rows is None else ad.concat(rows, h, axis=0)
-        alpha = ad.softmax(ad.matmul(rows, leaves["visit_context"]), axis=0)
-        o_v = ad.matmul(alpha, rows)
-        return rows, alpha, o_v
-
-    def note_attention(self, leaves, token_idx: np.ndarray, o_v: ad.Tensor):
-        """Attention over projected word embeddings with o_v as context."""
-        if token_idx.size == 0:
-            return None, ad.constant(np.zeros(self.config.gru_hidden))
-        words = ad.gather_rows(leaves["word_embed"], token_idx)
-        projected = ad.matmul(words, leaves["word_proj"])
-        alpha = ad.softmax(ad.matmul(projected, o_v), axis=0)
-        o_n = ad.matmul(alpha, projected)
-        return alpha, o_n
-
-    def patient_forward(self, leaves, h_c: ad.Tensor, example: PatientExample):
-        """Scores and note attention for one patient given code features."""
-        visit_vecs = [self.visit_embedding(h_c, idx) for idx in example.visit_codes]
-        _, _, o_v = self.encode_visits(leaves, visit_vecs)
-        if self.config.use_notes:
-            note_alpha, o_n = self.note_attention(leaves, example.note_tokens, o_v)
-        else:
-            note_alpha, o_n = None, ad.constant(np.zeros(self.config.gru_hidden))
-        out = ad.concat(o_v, o_n, axis=0)
-        logits = ad.add(ad.matmul(out, leaves["head_weight"]), leaves["head_bias"])
-        return ad.sigmoid(logits), note_alpha
-
     @staticmethod
     def _cross_entropy(y_hat: ad.Tensor, y: np.ndarray) -> ad.Tensor:
         if y_hat.values.shape != y.shape:
@@ -465,16 +507,6 @@ class CollaborativeGraphModel:
             return loss, leaves
         return f
 
-    def predict_example(self, example: PatientExample):
-        """Frozen-feature scores and note attention for one patient."""
-        if self.frozen_code_repr is None:
-            raise RuntimeError("freeze_code_embeddings() must run before inference")
-        leaves = self._constants()
-        h_c = ad.constant(self.frozen_code_repr)
-        y_hat, note_alpha = self.patient_forward(leaves, h_c, example)
-        alpha = None if note_alpha is None else note_alpha.values.copy()
-        return y_hat.values.copy(), alpha
-
 
 # ---------------------------------------------------------------------------
 # optimization and evaluation
@@ -508,23 +540,30 @@ class AdamOptimizer:
             arr -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
-def predict_scores(model: CollaborativeGraphModel,
-                   examples: list[PatientExample]) -> np.ndarray:
+def predict_scores(model: FrozenScorer, examples: list[PatientExample]) -> np.ndarray:
+    """Frozen-feature scores, one row per example, from a scorer or a trained model."""
     return np.stack([model.predict_example(ex)[0] for ex in examples])
 
 
 def compute_metrics(scores: np.ndarray, examples: list[PatientExample], task: str,
-                    ks=(20, 40), include_onset: bool = False) -> dict[str, float]:
+                    ks=(20, 40), include_onset: bool = False,
+                    ranks: np.ndarray | None = None) -> dict[str, float]:
+    """The task's metrics; every top-k recall reuses one ranking of the scores.
+
+    ``ranks`` is ``metrics.rank_codes(scores)`` when the caller already has it.
+    """
     labels = np.stack([ex.label_vec for ex in examples])
     out: dict[str, float] = {}
     if task == "diagnosis":
+        if ranks is None:
+            ranks = metrics_mod.rank_codes(scores)
         out["wf1"] = metrics_mod.weighted_f1(scores, labels)
         for k in ks:
-            out[f"r{k}"] = metrics_mod.recall_at_k(scores, labels, k)
+            out[f"r{k}"] = metrics_mod.recall_at_k(scores, labels, k, ranks)
         if include_onset:
             occurred = np.stack([ex.occurred for ex in examples])
             for k in ks:
-                occ, new = metrics_mod.onset_split_recall(scores, labels, occurred, k)
+                occ, new = metrics_mod.onset_split_recall(scores, labels, occurred, k, ranks)
                 out[f"occurred_r{k}"] = occ
                 out[f"new_onset_r{k}"] = new
     else:
@@ -544,8 +583,9 @@ def fit(model: CollaborativeGraphModel, train_examples: list[PatientExample],
 
     Every step runs the graph layers over the full graph, then the temporal
     and note path for the batch patients. After each epoch the code features
-    are frozen and the validation split is scored with them, so the last
-    history row matches a post-training evaluation exactly.
+    are frozen and the validation split is scored with them through the
+    scorer path on the model's own arrays, so the last history row matches a
+    post-training evaluation exactly.
     """
     if not train_examples:
         raise ValueError("empty training split")

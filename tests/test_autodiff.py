@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -417,6 +419,42 @@ def test_untracked_tensor_never_accumulates():
     ad.reduce_sum(ad.mul(x, c)).backward()
     assert c.grad is None
     assert np.array_equal(x.grad, [3.0])
+
+
+@pytest.mark.parametrize("const_first", [False, True])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul"])
+def test_untracked_operand_gets_no_gradient(name, const_first):
+    rng = np.random.default_rng(7)
+    xv, cv, g = (rng.normal(size=(3, 3)) for _ in range(3))
+
+    def slots(c_tracked):
+        """The op's backward output for (x, c), with c a leaf or a constant."""
+        tape = ad.Tape()
+        x = tape.leaf(xv)
+        c = tape.leaf(cv) if c_tracked else ad.constant(cv)
+        getattr(ad, name)(*((c, x) if const_first else (x, c)))
+        grads = tape._entries[-1][2](g)
+        return grads[::-1] if const_first else grads
+
+    x_slot, c_slot = slots(c_tracked=False)
+    assert c_slot is None
+    assert np.array_equal(x_slot, slots(c_tracked=True)[0])
+
+
+def test_backward_releases_the_tape():
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        loss = ad.reduce_sum(ad.mul(x, x))
+        loss.backward()
+        grad = x.grad
+        alive = weakref.ref(tape)
+        del tape, x, loss
+        assert alive() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+    assert np.array_equal(grad, [2.0, 4.0])
 
 
 def test_second_backward_rejected():

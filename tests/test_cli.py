@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -272,3 +273,72 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     assert bundle.task == "diagnosis"
     assert bundle.tree.leaf_ids == prob.tree.leaf_ids
     assert bundle.vocab == prob.vocab
+
+
+@pytest.mark.parametrize("task", ["diagnosis", "heart_failure"])
+def test_checkpoint_loads_as_frozen_scorer(tmp_path, monkeypatch, task):
+    prob = build_problem(task=task)
+    model.fit(prob.model, prob.examples, seed=0, epochs=2)
+    before = model.predict_scores(prob.model, prob.examples)
+    checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab,
+                               split={"counts": [4, 0, 0], "seed": 0})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint built a training model")
+
+    monkeypatch.setattr(model.CollaborativeGraphModel, "__init__", refuse)
+    bundle = checkpoint.load_checkpoint(tmp_path / "ck")
+    assert type(bundle.model) is model.FrozenScorer
+    shapes = model.FrozenScorer.array_shapes(prob.config, prob.tree.n_leaves, len(prob.vocab))
+    assert set(bundle.model.params.arrays) == set(shapes) - {"frozen_code_repr"}
+    assert np.array_equal(model.predict_scores(bundle.model, prob.examples), before)
+
+
+def broken_checkpoint(workspace, tmp_path, edit):
+    """A copy of the workspace checkpoint whose manifest ``edit`` changes."""
+    ck = tmp_path / "broken"
+    shutil.copytree(workspace["run"] / "checkpoint", ck)
+    manifest = json.loads((ck / "manifest.json").read_text(encoding="utf-8"))
+    edit(manifest)
+    (ck / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return ck
+
+
+def drop_array(name):
+    def edit(manifest):
+        manifest["arrays"] = [e for e in manifest["arrays"] if e["name"] != name]
+    return edit
+
+
+def reshape_array(name):
+    def edit(manifest):
+        entry = next(e for e in manifest["arrays"] if e["name"] == name)
+        entry["shape"] = [entry["shape"][0] + 1] + entry["shape"][1:]
+    return edit
+
+
+def move_past_end(name):
+    def edit(manifest):
+        entry = next(e for e in manifest["arrays"] if e["name"] == name)
+        entry["offset"] = sum(8 * int(np.prod(e["shape"])) for e in manifest["arrays"]) - 8
+    return edit
+
+
+@pytest.mark.parametrize("edit,name", [
+    (drop_array("head_bias"), "head_bias"),
+    (drop_array("frozen_code_repr"), "frozen_code_repr"),
+    (reshape_array("gru_state_cand"), "gru_state_cand"),
+    (reshape_array("word_embed"), "word_embed"),
+    (move_past_end("head_weight"), "head_weight"),
+])
+def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit, name):
+    _, patient = first_split_patient(workspace, "test")
+    hist_path = tmp_path / "history.json"
+    hist_path.write_text(json.dumps(
+        {"visits": [{"codes": v.codes, "note": v.note} for v in patient.feature_visits]}),
+        encoding="utf-8")
+    ck = broken_checkpoint(workspace, tmp_path, edit)
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(ck), "--history", str(hist_path)])
+    assert rc == 2
+    assert repr(name) in capsys.readouterr().err

@@ -78,6 +78,36 @@ def brute_onset_split(scores, labels, occurred, k):
     return occ, new
 
 
+def per_row_recall_at_k(scores, labels, k):
+    """The per-patient loop that rank_codes replaced, kept as the oracle."""
+    values = []
+    for row_scores, row_labels in zip(scores, labels):
+        positives = np.nonzero(row_labels)[0]
+        if positives.size == 0:
+            continue
+        top = metrics.top_k_indices(row_scores, k)
+        values.append(np.intersect1d(top, positives).size / positives.size)
+    return float(np.mean(values))
+
+
+def per_row_onset_split(scores, labels, occurred, k):
+    occ_values, new_values = [], []
+    for row_scores, row_labels, row_occ in zip(scores, labels, occurred):
+        positives = np.nonzero(row_labels)[0]
+        if positives.size == 0:
+            continue
+        top = metrics.top_k_indices(row_scores, k)
+        occ_set = positives[row_occ[positives] != 0]
+        new_set = positives[row_occ[positives] == 0]
+        if occ_set.size:
+            occ_values.append(np.intersect1d(top, occ_set).size / positives.size)
+        if new_set.size:
+            new_values.append(np.intersect1d(top, new_set).size / positives.size)
+    occ = float(np.mean(occ_values)) if occ_values else float("nan")
+    new = float(np.mean(new_values)) if new_values else float("nan")
+    return occ, new
+
+
 def random_instance(rng, n=8, c=10):
     scores = rng.random((n, c))
     labels = (rng.random((n, c)) < 0.3).astype(float)
@@ -253,3 +283,26 @@ def test_all_metrics_match_brute_force_sweep():
         want = brute_onset_split(scores, labels, occurred, k)
         for g, w in zip(got, want):
             assert (np.isnan(g) and np.isnan(w)) or abs(g - w) < 1e-12
+
+
+def test_ranked_metrics_bit_identical_to_per_row_loop():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n, c = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        # few distinct levels force ties; some rows have no positives
+        scores = rng.integers(0, 1 + trial % 4, size=(n, c)) / 4.0
+        labels = (rng.random((n, c)) < 0.3).astype(float)
+        labels[0, rng.integers(c)] = 1.0
+        occurred = (rng.random((n, c)) < 0.5).astype(int)
+        ranks = metrics.rank_codes(scores)
+        for k in range(1, c + 2):
+            for i in range(n):
+                want = metrics.top_k_indices(scores[i], k)
+                assert np.array_equal(np.sort(want), np.nonzero(ranks[i] < k)[0])
+            assert (metrics.recall_at_k(scores, labels, k)
+                    == metrics.recall_at_k(scores, labels, k, ranks)
+                    == per_row_recall_at_k(scores, labels, k))
+            want = per_row_onset_split(scores, labels, occurred, k)
+            for got in (metrics.onset_split_recall(scores, labels, occurred, k),
+                        metrics.onset_split_recall(scores, labels, occurred, k, ranks)):
+                assert np.array_equal(got, want, equal_nan=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -65,7 +66,7 @@ def save_checkpoint(out_dir, model: CollaborativeGraphModel, vocab: Vocabulary,
     manifest = {
         "format": FORMAT,
         "task": model.config.task,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "hf_prefix": hf_prefix,
         "metric_ks": list(metric_ks),
         "split": split,
@@ -110,6 +111,18 @@ def _read_arrays(path: Path, entries: list[dict],
     return out
 
 
+def _config_from(stored: dict) -> ModelConfig:
+    """The manifest's config, which must hold exactly the ``ModelConfig`` fields."""
+    names = [f.name for f in fields(ModelConfig)]
+    for key in names:
+        if key not in stored:
+            raise ValueError(f"checkpoint config lacks the key {key!r}")
+    for key in stored:
+        if key not in names:
+            raise ValueError(f"checkpoint config has an unknown key {key!r}")
+    return ModelConfig(**stored)
+
+
 def _rebuild_tree(manifest: dict) -> OntologyTree:
     edges = [(child, parent) for child, parent in manifest["ontology_edges"]]
     tree = load_ontology(edges)
@@ -124,7 +137,7 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
         manifest = json.load(fh)
     if manifest.get("format") != FORMAT:
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
-    config = ModelConfig.from_dict(manifest["config"])
+    config = _config_from(manifest["config"])
     tree = _rebuild_tree(manifest)
     vocab_entries = manifest["vocab"]["entries"]
     vocab = Vocabulary(

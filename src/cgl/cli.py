@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,16 @@ from .ontology import OntologyError, ancestor_path, load_ontology
 from .text import save_vocabulary
 
 TASK_NAMES = {"diagnosis": "diagnosis", "hf": "heart_failure"}
+# Keys of the run itself; the other config keys are the ModelConfig fields and
+# the GeneratorConfig fields prefixed with "gen_". One file serves every
+# command, so each command accepts the union.
+RUN_KEYS = ("seed", "task", "k", "out", "ontology", "dataset", "checkpoint", "history",
+            "what", "split", "top", "ablation", "split_counts", "cooccurrence_scope",
+            "hf_prefix", "export_graphs")
+CONFIG_KEYS = frozenset(RUN_KEYS).union(
+    [f.name for f in fields(ModelConfig)], ["gen_" + f.name for f in fields(GeneratorConfig)])
+BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+            "false": False, "0": False, "no": False, "off": False}
 ABLATIONS = {
     "no-hier": "use_hierarchical_embedding",
     "no-notes": "use_notes",
@@ -48,13 +59,15 @@ def parse_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+            values[key] = value
     return values
 
 
 class Options:
-    """String key-value store with typed accessors; flags override the file."""
+    """String key-value store with a typed accessor; flags override the file."""
 
     def __init__(self, values: dict[str, str]):
         self.values = values
@@ -65,26 +78,21 @@ class Options:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
 
-    def get_int(self, key: str, default: int) -> int:
-        return int(self.values[key]) if self.has(key) else default
-
-    def get_float(self, key: str, default: float) -> float:
-        return float(self.values[key]) if self.has(key) else default
-
-    def get_bool(self, key: str, default: bool) -> bool:
+    def value(self, key: str, default):
+        """The key's value parsed by the type of ``default`` (bool, int, float,
+        str or a comma-separated tuple of ints); ``default`` when unset."""
         if not self.has(key):
             return default
-        value = self.values[key].lower()
-        if value in ("true", "1", "yes", "on"):
-            return True
-        if value in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"config key {key!r} needs a boolean, got {value!r}")
-
-    def get_ints(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        if not self.has(key):
-            return tuple(default)
-        return tuple(int(part) for part in self.values[key].split(",") if part.strip())
+        raw = self.values[key]
+        try:
+            if isinstance(default, bool):
+                return BOOLEANS[raw.lower()]
+            if isinstance(default, tuple):
+                return tuple(int(part) for part in raw.split(",") if part.strip())
+            return type(default)(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"config key {key!r} needs a {type(default).__name__}, "
+                             f"got {raw!r}") from None
 
     def require(self, key: str) -> str:
         if not self.has(key):
@@ -96,11 +104,10 @@ def gather_options(args: argparse.Namespace) -> Options:
     values: dict[str, str] = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for flag in ("seed", "task", "k", "out", "ontology", "dataset", "checkpoint",
-                 "history", "what", "split", "top", "ablation"):
-        v = getattr(args, flag, None)
+    for key in RUN_KEYS:
+        v = getattr(args, key, None)
         if v is not None:
-            values[flag] = str(v)
+            values[key] = str(v)
     return Options(values)
 
 
@@ -113,25 +120,16 @@ def resolve_task(opts: Options) -> str:
     raise ValueError(f"unknown task {raw!r} (expected diagnosis or hf)")
 
 
+def config_fields(cls, opts: Options, prefix: str = "") -> dict:
+    """The config values set for the fields of dataclass ``cls``, each parsed by
+    the type of the field's default."""
+    return {f.name: opts.value(prefix + f.name, f.default)
+            for f in fields(cls) if opts.has(prefix + f.name)}
+
+
 def model_config_from(opts: Options, task: str) -> ModelConfig:
-    base = ModelConfig(task=task, note_loss_weight=default_note_loss_weight(task))
-    config = ModelConfig(
-        task=task,
-        code_dim=opts.get_int("code_dim", base.code_dim),
-        patient_dim=opts.get_int("patient_dim", base.patient_dim),
-        word_dim=opts.get_int("word_dim", base.word_dim),
-        patient_layer_dims=opts.get_ints("patient_layer_dims", base.patient_layer_dims),
-        code_layer_dims=opts.get_ints("code_layer_dims", base.code_layer_dims),
-        gru_hidden=opts.get_int("gru_hidden", base.gru_hidden),
-        note_loss_weight=opts.get_float("note_loss_weight", base.note_loss_weight),
-        learning_rate=opts.get_float("learning_rate", base.learning_rate),
-        epochs=opts.get_int("epochs", base.epochs),
-        batch_size=opts.get_int("batch_size", base.batch_size),
-        use_hierarchical_embedding=opts.get_bool("use_hierarchical_embedding", True),
-        use_notes=opts.get_bool("use_notes", True),
-        use_ontology_weights=opts.get_bool("use_ontology_weights", True),
-        use_observation_graph=opts.get_bool("use_observation_graph", True),
-    )
+    config = ModelConfig(**{"note_loss_weight": default_note_loss_weight(task),
+                            **config_fields(ModelConfig, opts), "task": task})
     ablation = opts.get("ablation")
     if ablation:
         if ablation not in ABLATIONS:
@@ -141,26 +139,7 @@ def model_config_from(opts: Options, task: str) -> ModelConfig:
 
 
 def generator_config_from(opts: Options) -> GeneratorConfig:
-    base = GeneratorConfig()
-    pair = lambda key, dflt: tuple(opts.get_ints(key, dflt))[:2]
-    return GeneratorConfig(
-        levels=opts.get_int("gen_levels", base.levels),
-        roots=opts.get_int("gen_roots", base.roots),
-        branching=opts.get_int("gen_branching", base.branching),
-        patients=opts.get_int("gen_patients", base.patients),
-        visits=pair("gen_visits", base.visits),
-        codes_per_visit=pair("gen_codes_per_visit", base.codes_per_visit),
-        clusters=opts.get_int("gen_clusters", base.clusters),
-        cluster_level=opts.get_int("gen_cluster_level", base.cluster_level),
-        partner_weight=opts.get_float("gen_partner_weight", base.partner_weight),
-        noise_rate=opts.get_float("gen_noise_rate", base.noise_rate),
-        p_persist=opts.get_float("gen_p_persist", base.p_persist),
-        background_words=opts.get_int("gen_background_words", base.background_words),
-        words_per_cluster=opts.get_int("gen_words_per_cluster", base.words_per_cluster),
-        words_per_note=pair("gen_words_per_note", base.words_per_note),
-        cluster_word_rate=opts.get_float("gen_cluster_word_rate", base.cluster_word_rate),
-        hf_cluster=opts.get_int("gen_hf_cluster", base.hf_cluster),
-    )
+    return GeneratorConfig(**config_fields(GeneratorConfig, opts, "gen_"))
 
 
 def format_value(value) -> str:
@@ -183,7 +162,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def cmd_generate(args) -> int:
     opts = gather_options(args)
     out_dir = Path(opts.require("out"))
-    seed = opts.get_int("seed", 0)
+    seed = opts.value("seed", 0)
     manifest = generate_synthetic(generator_config_from(opts), seed, out_dir)
     stats = manifest["stats"]
     print(f"wrote {out_dir / manifest['files']['ontology']}")
@@ -215,15 +194,15 @@ def cmd_train(args) -> int:
     out_dir = Path(opts.require("out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     task = resolve_task(opts)
-    seed = opts.get_int("seed", 0)
+    seed = opts.value("seed", 0)
     dataset_path = opts.require("dataset")
     tree = load_ontology(opts.require("ontology"))
     dataset = load_dataset(dataset_path)
     settings = TrainSettings(
         task=task,
         seed=seed,
-        split_counts=opts.get_ints("split_counts", (210, 30, 60)),
-        metric_ks=opts.get_ints("k", (20, 40)),
+        split_counts=opts.value("split_counts", (210, 30, 60)),
+        metric_ks=opts.value("k", (20, 40)),
         cooccurrence_scope=opts.get("cooccurrence_scope", "visit"),
         hf_prefix=_resolve_hf_prefix(opts, dataset_path, task),
         config=model_config_from(opts, task),
@@ -247,7 +226,7 @@ def cmd_train(args) -> int:
     model, _ = run_training(problem, on_epoch=on_epoch)
     write_csv(out_dir / "history.csv", header, rows)
     save_vocabulary(problem.vocab, out_dir / "vocabulary.tsv")
-    if opts.get_bool("export_graphs", False):
+    if opts.value("export_graphs", False):
         export_adjacency(problem.observation.matrix, out_dir / "observation_graph.txt")
         export_adjacency(problem.adjacency.adjacency, out_dir / "ontology_graph.txt")
     save_checkpoint(
@@ -282,7 +261,7 @@ def cmd_evaluate(args) -> int:
     if tag not in ("test", "valid"):
         raise ValueError(f"unknown split {tag!r} (expected test or valid)")
     examples = _split_examples(bundle, opts.require("dataset"), tag)
-    ks = opts.get_ints("k", bundle.metric_ks)
+    ks = opts.value("k", bundle.metric_ks)
     scores = predict_scores(bundle.model, examples)
     ranks = rank_codes(scores) if bundle.task == "diagnosis" else None
     report = compute_metrics(scores, examples, bundle.task, ks,
@@ -314,10 +293,7 @@ def _load_history_file(path) -> list[dict]:
     if not content:
         raise ValueError(f"patient history file {path} is empty")
     obj = json.loads(content.splitlines()[0])
-    visits = obj["visits"] if isinstance(obj, dict) else obj
-    if not isinstance(visits, list):
-        raise ValueError("patient history must be a record with a 'visits' list")
-    return visits
+    return obj["visits"] if isinstance(obj, dict) else obj
 
 
 def cmd_predict(args) -> int:
@@ -330,7 +306,7 @@ def cmd_predict(args) -> int:
     if bundle.task == "heart_failure":
         print(f"probability\t{scores[0]!r}")
         return 0
-    top = opts.get_int("top", 20)
+    top = opts.value("top", 20)
     order = top_k_indices(scores, top)
     rows = [[bundle.tree.leaf_ids[i], float(scores[i])] for i in order]
     print("code,score")

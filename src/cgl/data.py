@@ -99,16 +99,22 @@ def model_note(patient: Patient) -> list[str]:
     return patient.feature_visits[-1].note
 
 
-def _parse_patient(obj, lineno: int) -> Patient:
+def _parse_patient(obj, where: str) -> Patient:
+    """One raw record as a :class:`Patient`; every error starts with ``where``."""
     if not isinstance(obj, dict) or "patient" not in obj or "visits" not in obj:
-        raise DataError(f"line {lineno}: record needs 'patient' and 'visits' fields")
+        raise DataError(f"{where}: record needs 'patient' and 'visits' fields")
+    if not isinstance(obj["visits"], list) or not all(isinstance(v, dict)
+                                                      for v in obj["visits"]):
+        raise DataError(f"{where}: 'visits' must be a list of objects")
     visits = []
     for v in obj["visits"]:
-        if not isinstance(v, dict) or "codes" not in v:
-            raise DataError(f"line {lineno}: visit needs a 'codes' field")
-        codes = [str(c) for c in v["codes"]]
-        note = [str(w) for w in v.get("note", [])]
-        visits.append(Visit(codes, note))
+        if "codes" not in v:
+            raise DataError(f"{where}: visit needs a 'codes' field")
+        codes, note = v["codes"], v.get("note", [])
+        for name, value in (("codes", codes), ("note", note)):
+            if not isinstance(value, list):
+                raise DataError(f"{where}: visit field {name!r} must be a list")
+        visits.append(Visit([str(c) for c in codes], [str(w) for w in note]))
     return Patient(str(obj["patient"]), visits)
 
 
@@ -130,7 +136,7 @@ def load_dataset(path, tree: OntologyTree | None = None, min_visits: int = 2) ->
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {lineno}: invalid record: {exc}") from None
-            patient = _parse_patient(obj, lineno)
+            patient = _parse_patient(obj, f"line {lineno}")
             kept = [v for v in patient.visits if v.codes]
             report.dropped_empty_visits += len(patient.visits) - len(kept)
             patient.visits = kept
@@ -243,6 +249,10 @@ class GeneratorConfig:
     hf_cluster: int = 0
 
     def validate(self) -> None:
+        for name in ("visits", "codes_per_visit", "words_per_note"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} needs two values (low, high), "
+                                 f"got {getattr(self, name)}")
         if self.levels < 2 or self.roots < 1 or not 1 <= self.branching <= 9:
             raise ValueError("need levels >= 2, roots >= 1, 1 <= branching <= 9")
         if self.roots > 99:

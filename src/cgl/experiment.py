@@ -11,12 +11,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import (EhrDataset, make_labels, patient_document, split_dataset)
+from .data import EhrDataset, _parse_patient, make_labels, patient_document, split_dataset
 from .graphs import build_cooccurrence, build_observation, build_ontology_adjacency
-from .model import (CollaborativeGraphModel, ModelConfig, PatientExample, fit,
-                    prepare_examples)
+from .model import (CollaborativeGraphModel, ModelConfig, PatientExample, build_example,
+                    fit, prepare_examples)
 from .ontology import OntologyTree, pad_virtual_leaves
-from .text import MAX_NOTE_TOKENS, Vocabulary, fit_vocabulary, tfidf_beta
+from .text import Vocabulary, fit_vocabulary
 
 __all__ = ["TrainSettings", "derive_seeds", "assemble", "train", "history_to_example"]
 
@@ -76,32 +76,9 @@ def history_to_example(visits: list[dict], tree: OntologyTree, vocab: Vocabulary
                        n_outputs: int) -> PatientExample:
     """Turn a raw visit history (codes + notes) into a model input.
 
-    The history holds feature visits only; the last one supplies the note.
-    Unknown codes are rejected by name.
+    The history holds feature visits only and is parsed as a dataset record
+    is, dropping visits without codes; the last visit supplies the note.
     """
-    parsed = [v for v in visits if v.get("codes")]
-    if not parsed:
-        raise ValueError("the patient history contains no visits with codes")
-    visit_codes = []
-    occurred = np.zeros(tree.n_leaves)
-    for v in parsed:
-        idx = set()
-        for code in v["codes"]:
-            if code not in tree.code_leaf:
-                raise ValueError(f"unknown code {code!r} in the patient history")
-            idx.add(tree.leaf_for(code))
-        arr = np.array(sorted(idx), dtype=np.intp)
-        occurred[arr] = 1.0
-        visit_codes.append(arr)
-    note = [str(w) for w in parsed[-1].get("note", [])][:MAX_NOTE_TOKENS]
-    note = [w for w in note if w in vocab]
-    tokens = np.array([vocab.word_index[w] for w in note], dtype=np.intp)
-    return PatientExample(
-        pid="history",
-        visit_codes=visit_codes,
-        note_tokens=tokens,
-        beta=tfidf_beta(note, vocab),
-        label_vec=np.zeros(n_outputs),
-        positives=np.array([], dtype=np.intp),
-        occurred=occurred,
-    )
+    patient = _parse_patient({"patient": "history", "visits": visits}, "patient history")
+    return build_example(patient.pid, [v for v in patient.visits if v.codes],
+                         np.zeros(n_outputs), [], tree, vocab)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .ontology import OntologyTree, ancestor_path
+from .ontology import OntologyTree, ancestor_ranks
 
 __all__ = [
     "ObservationGraph",
@@ -113,10 +113,7 @@ def build_ontology_adjacency(tree: OntologyTree, cooccurrence: np.ndarray) -> On
 
     # Ancestor agreement is prefix-closed (single parents), so the LCA level
     # is the count of levels 1..K-1 where the ancestors coincide.
-    paths = np.empty((n, tree.levels), dtype=np.int64)
-    for i in range(n):
-        for k, name in enumerate(ancestor_path(tree, i)):
-            paths[i, k] = tree.level_rank[name]
+    paths = ancestor_ranks(tree)
     lca = np.zeros((n, n), dtype=np.int64)
     for k in range(tree.levels - 1):
         lca += paths[:, k][:, None] == paths[None, :, k]

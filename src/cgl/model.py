@@ -29,14 +29,14 @@ encoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import EhrDataset, LabelSet, model_note
+from .data import EhrDataset, LabelSet, Visit
 from .graphs import ObservationGraph, OntologyAdjacency
-from .ontology import OntologyTree, ancestor_path
+from .ontology import OntologyTree, ancestor_ranks
 from .text import MAX_NOTE_TOKENS, Vocabulary, tfidf_beta
 from . import metrics as metrics_mod
 
@@ -51,6 +51,7 @@ __all__ = [
     "default_note_loss_weight",
     "aggregate",
     "rectified_penalty",
+    "build_example",
     "prepare_examples",
     "fit",
     "predict_scores",
@@ -106,19 +107,6 @@ class ModelConfig:
     def num_layers(self) -> int:
         return len(self.code_layer_dims)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["patient_layer_dims"] = list(self.patient_layer_dims)
-        d["code_layer_dims"] = list(self.code_layer_dims)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["patient_layer_dims"] = tuple(d["patient_layer_dims"])
-        d["code_layer_dims"] = tuple(d["code_layer_dims"])
-        return cls(**d)
-
 
 @dataclass
 class ModelParams:
@@ -149,40 +137,47 @@ class PatientExample:
     occurred: np.ndarray  # codes seen in any feature visit, (n_codes,)
 
 
+def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray, positives,
+                  tree: OntologyTree, vocab: Vocabulary) -> PatientExample:
+    """Resolve one patient's feature visits to dense indices.
+
+    The last visit supplies the note. Tokens outside the vocabulary are
+    dropped (they have no embedding row); the TF-IDF targets are computed on
+    the same filtered sequence so the penalty stays aligned with the
+    attention weights. A code outside the tree is a ``ValueError`` naming
+    the code and the patient.
+    """
+    if not visits:
+        raise ValueError(f"patient {pid} has no feature visits")
+    visit_codes = []
+    occurred = np.zeros(tree.n_leaves, dtype=np.float64)
+    for v in visits:
+        try:
+            idx = np.array(sorted({tree.code_leaf[c] for c in v.codes}), dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"unknown code {exc.args[0]!r} (patient {pid})") from None
+        if idx.size == 0:
+            raise ValueError(f"patient {pid} has an empty visit")
+        occurred[idx] = 1.0
+        visit_codes.append(idx)
+    note = [w for w in visits[-1].note[:MAX_NOTE_TOKENS] if w in vocab]
+    return PatientExample(
+        pid=pid,
+        visit_codes=visit_codes,
+        note_tokens=np.array([vocab.word_index[w] for w in note], dtype=np.intp),
+        beta=tfidf_beta(note, vocab),
+        label_vec=label_vec,
+        positives=np.array(positives, dtype=np.intp),
+        occurred=occurred,
+    )
+
+
 def prepare_examples(dataset: EhrDataset, split: str | None, tree: OntologyTree,
                      vocab: Vocabulary, labels: LabelSet) -> list[PatientExample]:
-    """Resolve codes and note tokens to dense indices for one split.
-
-    Tokens outside the vocabulary are dropped (they have no embedding row);
-    the TF-IDF targets are computed on the same filtered sequence so the
-    penalty stays aligned with the attention weights.
-    """
-    out = []
+    """One example per patient of a split (every patient for ``split=None``)."""
     patients = dataset.patients if split is None else dataset.split_patients(split)
-    for p in patients:
-        if not p.feature_visits:
-            raise ValueError(f"patient {p.pid} has no feature visits")
-        visit_codes = []
-        occurred = np.zeros(tree.n_leaves, dtype=np.float64)
-        for v in p.feature_visits:
-            idx = np.array(sorted({tree.leaf_for(c) for c in v.codes}), dtype=np.intp)
-            if idx.size == 0:
-                raise ValueError(f"patient {p.pid} has an empty visit")
-            occurred[idx] = 1.0
-            visit_codes.append(idx)
-        note = [w for w in model_note(p)[:MAX_NOTE_TOKENS] if w in vocab]
-        tokens = np.array([vocab.word_index[w] for w in note], dtype=np.intp)
-        beta = tfidf_beta(note, vocab)
-        out.append(PatientExample(
-            pid=p.pid,
-            visit_codes=visit_codes,
-            note_tokens=tokens,
-            beta=beta,
-            label_vec=labels.label_vector(p.pid),
-            positives=np.array(labels.positives[p.pid], dtype=np.intp),
-            occurred=occurred,
-        ))
-    return out
+    return [build_example(p.pid, p.feature_visits, labels.label_vector(p.pid),
+                          labels.positives[p.pid], tree, vocab) for p in patients]
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +187,17 @@ def prepare_examples(dataset: EhrDataset, split: str | None, tree: OntologyTree,
 def aggregate(h_p, h_c, obs, obs_t, phi, w_code_to_patient, w_patient_to_code):
     """One round of collaborative aggregation before the layer maps.
 
-    z_p = h_p + obs @ h_c @ W,  z_c = h_c + obs^T @ h_p @ W' + phi @ h_c.
+    z_c = h_c + obs^T @ h_p @ W' + phi @ h_c,  z_p = h_p + obs @ h_c @ W.
     With a zeroed observation graph and zero phi both reduce to the inputs.
+    The last layer passes ``w_code_to_patient=None`` and gets ``z_p = None``.
+    z_c is recorded first: the tape order fixes the order in which backward
+    sums gradients, and so their last bits.
     """
-    z_p = ad.add(h_p, ad.matmul(ad.matmul(obs, h_c), w_code_to_patient))
     z_c = ad.add(ad.add(h_c, ad.matmul(ad.matmul(obs_t, h_p), w_patient_to_code)),
                  ad.matmul(phi, h_c))
+    if w_code_to_patient is None:
+        return None, z_c
+    z_p = ad.add(h_p, ad.matmul(ad.matmul(obs, h_c), w_code_to_patient))
     return z_p, z_c
 
 
@@ -346,12 +346,7 @@ class CollaborativeGraphModel(FrozenScorer):
         self.link_levels = adjacency.dense_adjacency()
         self.link_support = (self.link_levels != 0).astype(np.float64)
 
-        # per-level ancestor index of every leaf, for the hierarchical lookup
-        k = tree.levels
-        self.level_indices = [np.empty(self.n_codes, dtype=np.intp) for _ in range(k)]
-        for i in range(self.n_codes):
-            for lvl, name in enumerate(ancestor_path(tree, i)):
-                self.level_indices[lvl][i] = tree.level_rank[name]
+        self.level_indices = ancestor_ranks(tree)
 
         super().__init__(config, self._init_params(np.random.default_rng(seed)))
 
@@ -403,7 +398,7 @@ class CollaborativeGraphModel(FrozenScorer):
         if not self.config.use_hierarchical_embedding:
             return leaves["code_embed"]
         parts = [
-            ad.gather_rows(leaves[f"level_embed_{lvl + 1}"], self.level_indices[lvl])
+            ad.gather_rows(leaves[f"level_embed_{lvl + 1}"], self.level_indices[:, lvl])
             for lvl in range(self.tree.levels)
         ]
         out = parts[0]
@@ -423,24 +418,18 @@ class CollaborativeGraphModel(FrozenScorer):
                      leaves["onto_shift"])
         return ad.mul(ad.sigmoid(pre), ad.constant(self.link_support))
 
-    def graph_forward(self, leaves, mode: str, update_stats: bool | None = None) -> ad.Tensor:
+    def graph_forward(self, leaves, mode: str, update_stats: bool) -> ad.Tensor:
         """Run all graph layers; returns the final code features."""
-        cfg = self.config
-        if update_stats is None:
-            update_stats = mode == "train"
         h_p = leaves["patient_embed"]
         h_c = self.code_base_embedding(leaves)
         phi = self.ontology_weights(leaves)
         obs = ad.constant(self.obs_matrix)
         obs_t = ad.constant(self.obs_matrix_t)
-        for l in range(cfg.num_layers):
-            last = l == cfg.num_layers - 1
-            z_c = ad.add(ad.add(h_c, ad.matmul(ad.matmul(obs_t, h_p),
-                                               leaves[f"graph_{l}_patient_to_code"])),
-                         ad.matmul(phi, h_c))
-            if not last:
-                z_p = ad.add(h_p, ad.matmul(ad.matmul(obs, h_c),
-                                            leaves[f"graph_{l}_code_to_patient"]))
+        for l in range(self.config.num_layers):
+            z_p, z_c = aggregate(h_p, h_c, obs, obs_t, phi,
+                                 leaves.get(f"graph_{l}_code_to_patient"),
+                                 leaves[f"graph_{l}_patient_to_code"])
+            if z_p is not None:
                 h_p = ad.relu(ad.batchnorm(
                     ad.matmul(z_p, leaves[f"graph_{l}_patient_out"]),
                     leaves[f"graph_{l}_bn_patient_scale"],

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "OntologyError",
     "OntologyTree",
@@ -20,6 +22,7 @@ __all__ = [
     "pad_virtual_leaves",
     "lca_level",
     "ancestor_path",
+    "ancestor_ranks",
 ]
 
 ROOT_MARK = "-"
@@ -195,6 +198,15 @@ def ancestor_path(tree: OntologyTree, code_index: int) -> tuple[str, ...]:
     if not 0 <= code_index < tree.n_leaves:
         raise ValueError(f"leaf index {code_index} out of range")
     return tree.ancestor_ids(tree.leaf_ids[code_index])
+
+
+def ancestor_ranks(tree: OntologyTree) -> np.ndarray:
+    """(n_leaves, K) table: column k holds each leaf's level-(k+1) ancestor rank."""
+    ranks = np.empty((tree.n_leaves, tree.levels), dtype=np.intp)
+    for i in range(tree.n_leaves):
+        for k, name in enumerate(ancestor_path(tree, i)):
+            ranks[i, k] = tree.level_rank[name]
+    return ranks
 
 
 def lca_level(tree: OntologyTree, ci: int, cj: int) -> int:

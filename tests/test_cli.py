@@ -1,14 +1,16 @@
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cgl import checkpoint, model
-from cgl.cli import main
-from cgl.data import load_dataset, split_dataset
-from cgl.experiment import derive_seeds
+from cgl.cli import (_split_examples, build_parser, gather_options, generator_config_from,
+                     main, model_config_from, resolve_task)
+from cgl.data import GeneratorConfig, load_dataset, split_dataset
+from cgl.experiment import derive_seeds, history_to_example
 from problem_fixtures import build_problem
 
 TINY_CONFIG = """
@@ -193,7 +195,6 @@ def test_predict_matches_evaluation_path(workspace, tmp_path):
     assert all(0.0 < s < 1.0 for s in got.values())
 
     # evaluation path: same patient scored through the split machinery
-    from cgl.cli import _split_examples
     examples = _split_examples(bundle, str(workspace["gen"] / "dataset.jsonl"), "test")
     ex = next(e for e in examples if e.pid == patient.pid)
     want = model.predict_scores(bundle.model, [ex])[0]
@@ -209,12 +210,53 @@ def test_predict_empty_history_exits_2(workspace, tmp_path):
     assert rc == 2
 
 
-def test_predict_unknown_code_exits_2(workspace, tmp_path):
+def test_predict_unknown_code_exits_2(workspace, tmp_path, capsys):
     hist_path = tmp_path / "unknown.json"
     hist_path.write_text('{"visits": [{"codes": ["who-is-this"]}]}', encoding="utf-8")
     rc = main(["predict", "--checkpoint", str(workspace["run"] / "checkpoint"),
                "--history", str(hist_path)])
     assert rc == 2
+    assert "unknown code 'who-is-this' (patient history)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record,field", [
+    ('{"visits": 5}', "visits"),
+    ('{"visits": [1]}', "visits"),
+    ('{"visits": [{"note": ["w"]}]}', "codes"),
+    ('{"visits": [{"codes": "c00.0.0.0"}]}', "codes"),
+    ('{"visits": [{"codes": ["c00.0.0.0"], "note": 5}]}', "note"),
+    ('[{"codes": ["c00.0.0.0"], "note": null}]', "note"),
+], ids=["visits-number", "visit-number", "no-codes", "codes-string", "note-number",
+        "note-null"])
+def test_predict_malformed_history_exits_2(workspace, tmp_path, capsys, record, field):
+    hist_path = tmp_path / "bad.json"
+    hist_path.write_text(record, encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(workspace["run"] / "checkpoint"),
+               "--history", str(hist_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "Traceback" not in err
+
+
+def test_history_to_example_matches_prepare_examples(workspace):
+    bundle, _ = first_split_patient(workspace, "test")
+    dataset_path = workspace["gen"] / "dataset.jsonl"
+    examples = _split_examples(bundle, str(dataset_path), "test")
+    ds = load_dataset(dataset_path)
+    split_dataset(ds, tuple(bundle.split["counts"]), derive_seeds(bundle.split["seed"]).split)
+    patients = {p.pid: p for p in ds.split_patients("test")}
+    inputs = [f.name for f in fields(model.PatientExample)
+              if f.name not in ("pid", "label_vec", "positives")]
+    for want in examples:
+        visits = [{"codes": v.codes, "note": v.note} for v in patients[want.pid].feature_visits]
+        got = history_to_example(visits, bundle.tree, bundle.vocab, want.label_vec.size)
+        for name in inputs:
+            a, b = getattr(got, name), getattr(want, name)
+            pairs = zip(a, b) if isinstance(a, list) else [(a, b)]
+            assert len(a) == len(b), name
+            for x, y in pairs:
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def test_export_code_embeddings(workspace, tmp_path):
@@ -324,12 +366,26 @@ def move_past_end(name):
     return edit
 
 
+def add_config_key(name, value):
+    def edit(manifest):
+        manifest["config"][name] = value
+    return edit
+
+
+def drop_config_key(name):
+    def edit(manifest):
+        del manifest["config"][name]
+    return edit
+
+
 @pytest.mark.parametrize("edit,name", [
     (drop_array("head_bias"), "head_bias"),
     (drop_array("frozen_code_repr"), "frozen_code_repr"),
     (reshape_array("gru_state_cand"), "gru_state_cand"),
     (reshape_array("word_embed"), "word_embed"),
     (move_past_end("head_weight"), "head_weight"),
+    (add_config_key("gru_hiden", 8), "gru_hiden"),
+    (drop_config_key("use_notes"), "use_notes"),
 ])
 def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit, name):
     _, patient = first_split_patient(workspace, "test")
@@ -342,3 +398,67 @@ def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit,
     rc = main(["predict", "--checkpoint", str(ck), "--history", str(hist_path)])
     assert rc == 2
     assert repr(name) in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+
+def other_value(default):
+    """A value of the default's type that differs from it."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, tuple):
+        return tuple(v + 1 for v in default)
+    if isinstance(default, str):
+        return "heart_failure"
+    return default + 1
+
+
+def config_text(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(model.ModelConfig)]
+                         + ["gen_" + f.name for f in fields(GeneratorConfig)])
+def test_every_config_field_is_settable(tmp_path, key):
+    cls = GeneratorConfig if key.startswith("gen_") else model.ModelConfig
+    name = key.removeprefix("gen_")
+    want = other_value(next(f.default for f in fields(cls) if f.name == name))
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {config_text(want)}\n", encoding="utf-8")
+    opts = gather_options(build_parser().parse_args(["train", "--config", str(cfg)]))
+    config = (generator_config_from(opts) if cls is GeneratorConfig
+              else model_config_from(opts, resolve_task(opts)))
+    assert getattr(config, name) == want
+
+
+@pytest.mark.parametrize("line,name", [
+    ("gru_hiden = 8", "gru_hiden"),
+    ("epochs = many", "epochs"),
+    ("use_notes = maybe", "use_notes"),
+    ("code_layer_dims = 8,x", "code_layer_dims"),
+])
+def test_bad_config_key_or_value_exits_2(workspace, tmp_path, capsys, line, name):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg),
+               "--ontology", str(workspace["gen"] / "ontology.tsv"),
+               "--dataset", str(workspace["gen"] / "dataset.jsonl"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["gen_visits = 2,3,4", "gen_codes_per_visit = 3",
+                                  "gen_words_per_note = 1,2,3"])
+def test_generator_pair_needs_two_values(tmp_path, capsys, line):
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert line.split()[0].removeprefix("gen_") in capsys.readouterr().err

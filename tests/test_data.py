@@ -52,6 +52,22 @@ def test_parse_error_names_line(tmp_path):
         data.load_dataset(path)
 
 
+@pytest.mark.parametrize("visits,field", [
+    (5, "visits"),
+    ([1, {"codes": ["a"]}], "visits"),
+    ([{"note": ["w"]}, {"codes": ["a"]}], "codes"),
+    ([{"codes": "ab"}, {"codes": ["a"]}], "codes"),
+    ([{"codes": ["a"], "note": 5}, {"codes": ["b"]}], "note"),
+    ([{"codes": ["a"], "note": "w"}, {"codes": ["b"]}], "note"),
+], ids=["visits-number", "visit-number", "no-codes", "codes-string", "note-number",
+        "note-string"])
+def test_malformed_record_names_field(tmp_path, visits, field):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [{"patient": "p1", "visits": visits}])
+    with pytest.raises(data.DataError, match=f"line 1: .*'{field}'"):
+        data.load_dataset(path)
+
+
 def test_unknown_code_rejected(tmp_path):
     tree = flat_tree(["a"])
     path = tmp_path / "d.jsonl"

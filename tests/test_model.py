@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -137,6 +138,60 @@ def test_aggregate_matches_dense_oracle():
     z_p, z_c = model.aggregate(*map(ad.constant, (h_p, h_c, obs, obs.T, phi, w_cu, w_uc)))
     assert np.max(np.abs(z_p.values - (h_p + obs @ h_c @ w_cu))) < 1e-12
     assert np.max(np.abs(z_c.values - (h_c + obs.T @ h_p @ w_uc + phi @ h_c))) < 1e-12
+    no_p, last_c = model.aggregate(*map(ad.constant, (h_p, h_c, obs, obs.T, phi)), None,
+                                   ad.constant(w_uc))
+    assert no_p is None
+    assert np.array_equal(last_c.values, z_c.values)
+
+
+def inline_graph_forward(self, leaves, mode, update_stats):
+    """The graph layers with the aggregation written out inline: the oracle
+    that ``graph_forward`` through ``aggregate`` must match bit for bit."""
+    h_p = leaves["patient_embed"]
+    h_c = self.code_base_embedding(leaves)
+    phi = self.ontology_weights(leaves)
+    obs = ad.constant(self.obs_matrix)
+    obs_t = ad.constant(self.obs_matrix_t)
+    for l in range(self.config.num_layers):
+        last = l == self.config.num_layers - 1
+        z_c = ad.add(ad.add(h_c, ad.matmul(ad.matmul(obs_t, h_p),
+                                           leaves[f"graph_{l}_patient_to_code"])),
+                     ad.matmul(phi, h_c))
+        if not last:
+            z_p = ad.add(h_p, ad.matmul(ad.matmul(obs, h_c),
+                                        leaves[f"graph_{l}_code_to_patient"]))
+            h_p = ad.relu(ad.batchnorm(
+                ad.matmul(z_p, leaves[f"graph_{l}_patient_out"]),
+                leaves[f"graph_{l}_bn_patient_scale"],
+                leaves[f"graph_{l}_bn_patient_shift"],
+                self.params.bn[f"graph_{l}_bn_patient"], mode, update_stats))
+        h_c = ad.relu(ad.batchnorm(
+            ad.matmul(z_c, leaves[f"graph_{l}_code_out"]),
+            leaves[f"graph_{l}_bn_code_scale"],
+            leaves[f"graph_{l}_bn_code_shift"],
+            self.params.bn[f"graph_{l}_bn_code"], mode, update_stats))
+    return h_c
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_graph_layers_bit_identical_to_inline_oracle(seed, n_layers):
+    dims = dict(code_layer_dims=(8,) * n_layers, patient_layer_dims=(6,) * (n_layers - 1))
+    new, old = build_problem(seed=seed, **dims), build_problem(seed=seed, **dims)
+    old.model.graph_forward = types.MethodType(inline_graph_forward, old.model)
+    (loss_new, leaves_new), (loss_old, leaves_old) = (
+        prob.model.loss_program(prob.examples)() for prob in (new, old))
+    loss_new.backward()
+    loss_old.backward()
+    assert loss_new.item() == loss_old.item()
+    assert set(leaves_new) == set(leaves_old)
+    for name in leaves_new:
+        assert np.array_equal(leaves_new[name].grad, leaves_old[name].grad), name
+
+    histories = [model.fit(prob.model, prob.examples, prob.examples, seed=seed, epochs=3,
+                           metric_ks=(3,)) for prob in (new, old)]
+    assert histories[0] == histories[1]
+    assert np.array_equal(new.model.frozen_code_repr, old.model.frozen_code_repr)
 
 
 def test_graph_forward_output_shapes():
@@ -325,6 +380,13 @@ def test_scores_lie_in_unit_interval():
     model.fit(prob.model, prob.examples, seed=0, epochs=1)
     scores = model.predict_scores(prob.model, prob.examples)
     assert np.all((scores > 0) & (scores < 1))
+
+
+def test_unknown_feature_code_names_code_and_patient():
+    prob = build_problem()
+    prob.dataset.patients[1].visits[0].codes.append("zz")
+    with pytest.raises(ValueError, match=r"unknown code 'zz' \(patient p1\)"):
+        model.prepare_examples(prob.dataset, "train", prob.tree, prob.vocab, prob.labels)
 
 
 def test_inference_before_freeze_rejected():

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Tensor",
@@ -37,6 +38,7 @@ __all__ = [
     "log",
     "clamp",
     "matmul",
+    "spmm",
     "softmax",
     "reduce_sum",
     "reduce_mean",
@@ -365,6 +367,36 @@ def matmul(a, b) -> Tensor:
     return _emit(_tape_of(a, b), out, (a, b), backward)
 
 
+def spmm(pattern, values, x) -> Tensor:
+    """Sparse-dense product A @ x, where A is the CSR ``pattern`` with its
+    stored entries replaced by ``values`` (one per entry, in storage order).
+
+    The pattern is fixed; ``values`` and the 2-d ``x`` may be tracked. The
+    gradient is A^T g for ``x`` and g[row] . x[col] for each stored entry.
+    """
+    if not (sparse.issparse(pattern) and pattern.format == "csr"):
+        raise DimensionError("spmm needs a CSR pattern")
+    values, x = _lift(values), _lift(x)
+    vv, xv = values.values, x.values
+    if vv.shape != (pattern.nnz,):
+        raise DimensionError(f"spmm needs {pattern.nnz} values, got shape {vv.shape}")
+    if xv.ndim != 2 or xv.shape[0] != pattern.shape[1]:
+        raise DimensionError(f"spmm operand {xv.shape} does not fit a {pattern.shape} matrix")
+    a = sparse.csr_matrix((vv, pattern.indices, pattern.indptr), shape=pattern.shape)
+    need_v, need_x = values.tracked, x.tracked
+
+    def backward(g):
+        gv = gx = None
+        if need_v:
+            rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+            gv = np.einsum("ij,ij->i", g[rows], xv[pattern.indices])
+        if need_x:
+            gx = a.T @ g
+        return gv, gx
+
+    return _emit(_tape_of(values, x), a @ xv, (values, x), backward)
+
+
 def softmax(x, axis: int = -1) -> Tensor:
     x = _lift(x)
     xv = x.values
@@ -455,13 +487,13 @@ def reshape(x, shape) -> Tensor:
 
 
 def gather_rows(table, indices) -> Tensor:
-    """Select rows of a 2-d table; backward scatter-adds, so repeated
-    indices accumulate gradient."""
+    """Select rows of a 2-d table, or entries of a vector; backward
+    scatter-adds, so repeated indices accumulate gradient."""
     table = _lift(table)
     tv = table.values
-    if tv.ndim != 2:
-        raise DimensionError(f"gather_rows needs a 2-d table, got shape {tv.shape}")
-    idx = np.asarray(list(indices), dtype=np.intp)
+    if tv.ndim not in (1, 2):
+        raise DimensionError(f"gather_rows needs a 1-d or 2-d table, got shape {tv.shape}")
+    idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise DimensionError("gather_rows indices must be a flat sequence")
     n = tv.shape[0]
@@ -471,6 +503,8 @@ def gather_rows(table, indices) -> Tensor:
             raise IndexError(f"row index {int(bad[0])} out of range for table with {n} rows")
 
     def backward(g):
+        if tv.ndim == 1:
+            return (np.bincount(idx, weights=g, minlength=n),)
         out = np.zeros_like(tv)
         np.add.at(out, idx, g)
         return (out,)

@@ -304,7 +304,7 @@ def cmd_predict(args) -> int:
     example = history_to_example(visits, bundle.tree, bundle.vocab, n_out)
     scores, _ = bundle.model.predict_example(example)
     if bundle.task == "heart_failure":
-        print(f"probability\t{scores[0]!r}")
+        print(f"probability\t{float(scores[0])!r}")
         return 0
     top = opts.value("top", 20)
     order = top_k_indices(scores, top)

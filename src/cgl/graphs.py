@@ -7,6 +7,7 @@ keeps label information out of the graph structure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ __all__ = [
 class ObservationGraph:
     """Binary patient-by-code adjacency over training patients."""
 
-    matrix: np.ndarray  # (n_patients, n_codes), entries in {0, 1}
+    matrix: sparse.csr_matrix  # (n_patients, n_codes), stored entries are 1
     patient_index: dict[str, int]
 
     @property
@@ -38,18 +39,14 @@ class ObservationGraph:
 
 @dataclass
 class OntologyAdjacency:
-    """LCA-level matrix, co-occurrence mask, and their elementwise product.
+    """Hierarchy links between codes that co-occur in the data.
 
-    ``adjacency`` keeps only code pairs that both share an ancestor and
-    co-occur in the data; entries are the LCA level in [1, K-1].
+    ``adjacency`` stores one entry per ordered pair of distinct codes that
+    both share an ancestor and co-occur; its value is the LCA level in
+    [1, K-1]. Indices are sorted within each row.
     """
 
-    lca_levels: np.ndarray  # (n_codes, n_codes) int, zero diagonal
-    cooccurrence: np.ndarray  # (n_codes, n_codes) binary, zero diagonal
-    adjacency: sparse.csr_matrix  # lca_levels * cooccurrence
-
-    def dense_adjacency(self) -> np.ndarray:
-        return np.asarray(self.adjacency.todense(), dtype=np.float64)
+    adjacency: sparse.csr_matrix
 
 
 def _feature_visit_codes(patient, tree: OntologyTree):
@@ -65,69 +62,74 @@ def _feature_visit_codes(patient, tree: OntologyTree):
         yield idx
 
 
+def _incidence(groups, n_codes: int) -> sparse.csr_matrix:
+    """Binary (len(groups), n_codes) CSR matrix: row r marks the codes of group r."""
+    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    cols = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp, count=rows.size)
+    x = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(groups), n_codes))
+    x.data[:] = 1.0  # a code listed twice in a group was summed
+    return x
+
+
 def build_observation(dataset, tree: OntologyTree) -> ObservationGraph:
     """1 at (u, i) iff training patient u carries code i in a feature visit."""
     patients = dataset.split_patients("train")
-    matrix = np.zeros((len(patients), tree.n_leaves), dtype=np.float64)
-    index = {}
-    for row, patient in enumerate(patients):
-        index[patient.pid] = row
-        for codes in _feature_visit_codes(patient, tree):
-            matrix[row, codes] = 1.0
-    return ObservationGraph(matrix, index)
+    groups = [[i for codes in _feature_visit_codes(p, tree) for i in codes] for p in patients]
+    index = {p.pid: row for row, p in enumerate(patients)}
+    return ObservationGraph(_incidence(groups, tree.n_leaves), index)
 
 
-def build_cooccurrence(dataset, tree: OntologyTree, scope: str = "visit") -> np.ndarray:
-    """Symmetric binary co-occurrence over training feature visits.
+def build_cooccurrence(dataset, tree: OntologyTree, scope: str = "visit") -> sparse.csr_matrix:
+    """Symmetric binary co-occurrence over training feature visits, as CSR.
 
-    ``scope="visit"`` pairs codes inside a single visit; ``scope="patient"``
-    pairs codes across a patient's whole feature history.
+    The binarised X^T X of the visit (or patient) incidence X with its
+    diagonal removed. ``scope="visit"`` pairs codes inside a single visit;
+    ``scope="patient"`` pairs codes across a patient's whole feature history.
     """
     if scope not in ("visit", "patient"):
         raise ValueError(f"unknown co-occurrence scope {scope!r}")
-    n = tree.n_leaves
-    mat = np.zeros((n, n), dtype=np.float64)
+    groups = []
     for patient in dataset.split_patients("train"):
-        if scope == "patient":
-            groups = [sorted({i for codes in _feature_visit_codes(patient, tree) for i in codes})]
-        else:
-            groups = [sorted(set(codes)) for codes in _feature_visit_codes(patient, tree)]
-        for group in groups:
-            if len(group) < 2:
-                continue
-            ix = np.asarray(group)
-            mat[np.ix_(ix, ix)] = 1.0
-    np.fill_diagonal(mat, 0.0)
-    return mat
+        visits = list(_feature_visit_codes(patient, tree))
+        groups.extend([[i for codes in visits for i in codes]] if scope == "patient" else visits)
+    x = _incidence(groups, tree.n_leaves)
+    pairs = (x.T @ x).tocoo()
+    off = pairs.row != pairs.col
+    return sparse.csr_matrix((np.ones(np.count_nonzero(off)), (pairs.row[off], pairs.col[off])),
+                             shape=(tree.n_leaves, tree.n_leaves))
 
 
-def build_ontology_adjacency(tree: OntologyTree, cooccurrence: np.ndarray) -> OntologyAdjacency:
-    """LCA levels for all leaf pairs, masked by observed co-occurrence."""
+def build_ontology_adjacency(tree: OntologyTree, cooccurrence) -> OntologyAdjacency:
+    """LCA levels of the co-occurring leaf pairs (a sparse or dense matrix)."""
     n = tree.n_leaves
-    if cooccurrence.shape != (n, n):
-        raise ValueError(f"co-occurrence shape {cooccurrence.shape} does not match {n} codes")
-    if not np.array_equal(cooccurrence, cooccurrence.T):
+    cooc = sparse.csr_matrix(cooccurrence, dtype=np.float64, copy=True)
+    if cooc.shape != (n, n):
+        raise ValueError(f"co-occurrence shape {cooc.shape} does not match {n} codes")
+    if (cooc != cooc.T).nnz:
         raise ValueError("co-occurrence matrix must be symmetric")
-    if np.any(np.diagonal(cooccurrence) != 0):
+    if np.any(cooc.diagonal() != 0):
         raise ValueError("co-occurrence matrix must have a zero diagonal")
+    cooc.sum_duplicates()
+    cooc.eliminate_zeros()
 
     # Ancestor agreement is prefix-closed (single parents), so the LCA level
     # is the count of levels 1..K-1 where the ancestors coincide.
-    paths = ancestor_ranks(tree)
-    lca = np.zeros((n, n), dtype=np.int64)
-    for k in range(tree.levels - 1):
-        lca += paths[:, k][:, None] == paths[None, :, k]
-    np.fill_diagonal(lca, 0)
-
-    masked = lca * (cooccurrence != 0)
-    return OntologyAdjacency(lca, cooccurrence, sparse.csr_matrix(masked.astype(np.float64)))
+    pairs = cooc.tocoo()
+    rows, cols = pairs.row, pairs.col
+    paths = ancestor_ranks(tree)[:, :-1]
+    levels = (paths[rows] == paths[cols]).sum(axis=1)
+    keep = levels > 0
+    linked = sparse.csr_matrix((levels[keep].astype(np.float64), (rows[keep], cols[keep])),
+                               shape=(n, n))
+    return OntologyAdjacency(linked)
 
 
 def export_adjacency(matrix, path) -> None:
-    """Write non-zero entries as ``i j value`` lines (row-major order)."""
-    if sparse.issparse(matrix):
-        matrix = np.asarray(matrix.todense())
-    matrix = np.asarray(matrix)
+    """Write stored non-zero entries as ``i j value`` lines (row-major order)."""
+    matrix = sparse.csr_matrix(matrix, copy=True)
+    matrix.sum_duplicates()
+    entries = matrix.tocoo()
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j in zip(*np.nonzero(matrix)):
-            fh.write(f"{i} {j} {matrix[i, j]:g}\n")
+        for i, j, value in zip(entries.row, entries.col, entries.data):
+            if value != 0:
+                fh.write(f"{i} {j} {value:g}\n")

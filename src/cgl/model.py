@@ -9,7 +9,8 @@ One forward pass:
    their observing patients plus hierarchy-linked codes weighted by a learned
    per-source-code sigmoid of the link level; each side then passes through a
    linear map, batch normalization, and ReLU. The last layer produces code
-   features only.
+   features only. The graphs are sparse (CSR), and the link weights exist
+   only on the links, so this step costs O(nnz), not O(codes^2).
 3. Per patient: each feature visit embeds as the mean of its codes' final
    features, a GRU consumes the visit sequence, and a location attention over
    the GRU states yields the visit summary o_v.
@@ -29,9 +30,10 @@ encoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .data import EhrDataset, LabelSet, Visit
@@ -69,6 +71,17 @@ def default_note_loss_weight(task: str) -> float:
     return 0.3 if task == "diagnosis" else 0.1
 
 
+def _fits_default(value, default) -> bool:
+    """Whether ``value`` has the type of a config field's ``default``: a bool
+    is not an int, an int serves for a float, a tuple is a sequence of ints."""
+    if isinstance(default, tuple):
+        return isinstance(value, (tuple, list)) and all(_fits_default(v, 0) for v in value)
+    if isinstance(default, (bool, str)):
+        return isinstance(value, type(default))
+    allowed = (int, float) if isinstance(default, float) else int
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
 @dataclass
 class ModelConfig:
     task: str = "diagnosis"
@@ -88,6 +101,11 @@ class ModelConfig:
     use_observation_graph: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits_default(value, f.default):
+                raise ValueError(f"config key {f.name!r} needs a {type(f.default).__name__}, "
+                                 f"got {value!r}")
         self.patient_layer_dims = tuple(self.patient_layer_dims)
         self.code_layer_dims = tuple(self.code_layer_dims)
         if self.task not in ("diagnosis", "heart_failure"):
@@ -184,20 +202,23 @@ def prepare_examples(dataset: EhrDataset, split: str | None, tree: OntologyTree,
 # network pieces
 
 
-def aggregate(h_p, h_c, obs, obs_t, phi, w_code_to_patient, w_patient_to_code):
+def aggregate(h_p, h_c, obs, obs_t, links, phi, w_code_to_patient, w_patient_to_code):
     """One round of collaborative aggregation before the layer maps.
 
     z_c = h_c + obs^T @ h_p @ W' + phi @ h_c,  z_p = h_p + obs @ h_c @ W.
-    With a zeroed observation graph and zero phi both reduce to the inputs.
+    ``obs`` and ``obs_t`` are the binary CSR observation graph and its
+    transpose; the phi matrix is the CSR ``links`` pattern with the per-link
+    weights ``phi`` as its values. With an empty observation graph and zero
+    phi both reduce to the inputs.
     The last layer passes ``w_code_to_patient=None`` and gets ``z_p = None``.
     z_c is recorded first: the tape order fixes the order in which backward
     sums gradients, and so their last bits.
     """
-    z_c = ad.add(ad.add(h_c, ad.matmul(ad.matmul(obs_t, h_p), w_patient_to_code)),
-                 ad.matmul(phi, h_c))
+    z_c = ad.add(ad.add(h_c, ad.matmul(ad.spmm(obs_t, obs_t.data, h_p), w_patient_to_code)),
+                 ad.spmm(links, phi, h_c))
     if w_code_to_patient is None:
         return None, z_c
-    z_p = ad.add(h_p, ad.matmul(ad.matmul(obs, h_c), w_code_to_patient))
+    z_p = ad.add(h_p, ad.matmul(ad.spmm(obs, obs.data, h_c), w_code_to_patient))
     return z_p, z_c
 
 
@@ -338,13 +359,10 @@ class CollaborativeGraphModel(FrozenScorer):
         self.n_codes = tree.n_leaves
         self.n_patients = observation.matrix.shape[0]
         self.vocab_size = vocab_size
-        if config.use_observation_graph:
-            self.obs_matrix = observation.matrix.astype(np.float64)
-        else:
-            self.obs_matrix = np.zeros_like(observation.matrix, dtype=np.float64)
-        self.obs_matrix_t = np.ascontiguousarray(self.obs_matrix.T)
-        self.link_levels = adjacency.dense_adjacency()
-        self.link_support = (self.link_levels != 0).astype(np.float64)
+        self.obs = (observation.matrix if config.use_observation_graph
+                    else sparse.csr_matrix(observation.matrix.shape))
+        self.obs_t = self.obs.T.tocsr()
+        self.links = adjacency.adjacency  # CSR; each stored value is the link's LCA level
 
         self.level_indices = ancestor_ranks(tree)
 
@@ -407,26 +425,25 @@ class CollaborativeGraphModel(FrozenScorer):
         return out
 
     def ontology_weights(self, leaves) -> ad.Tensor:
-        """Per-edge sigmoid(slope_j * level + shift_j), zero off the support.
+        """sigmoid(slope_j * level + shift_j) for each link (i, j) of ``links``,
+        in its storage order; 1 per link when the weights are ablated.
 
-        The slope/shift of the *source* code j apply column-wise, matching
-        "assign a weight to c_j when aggregating c_j into c_i".
+        The slope/shift of the *source* code j (the link's column) apply,
+        matching "assign a weight to c_j when aggregating c_j into c_i".
         """
         if not self.config.use_ontology_weights:
-            return ad.constant(self.link_support)
-        pre = ad.add(ad.mul(ad.constant(self.link_levels), leaves["onto_slope"]),
-                     leaves["onto_shift"])
-        return ad.mul(ad.sigmoid(pre), ad.constant(self.link_support))
+            return ad.constant(np.ones(self.links.nnz))
+        slope = ad.gather_rows(leaves["onto_slope"], self.links.indices)
+        shift = ad.gather_rows(leaves["onto_shift"], self.links.indices)
+        return ad.sigmoid(ad.add(ad.mul(ad.constant(self.links.data), slope), shift))
 
     def graph_forward(self, leaves, mode: str, update_stats: bool) -> ad.Tensor:
         """Run all graph layers; returns the final code features."""
         h_p = leaves["patient_embed"]
         h_c = self.code_base_embedding(leaves)
         phi = self.ontology_weights(leaves)
-        obs = ad.constant(self.obs_matrix)
-        obs_t = ad.constant(self.obs_matrix_t)
         for l in range(self.config.num_layers):
-            z_p, z_c = aggregate(h_p, h_c, obs, obs_t, phi,
+            z_p, z_c = aggregate(h_p, h_c, self.obs, self.obs_t, self.links, phi,
                                  leaves.get(f"graph_{l}_code_to_patient"),
                                  leaves[f"graph_{l}_patient_to_code"])
             if z_p is not None:

@@ -1,9 +1,11 @@
+import functools
 import gc
 import math
 import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from cgl import autodiff as ad
 
@@ -320,6 +322,60 @@ def test_gather_rows_out_of_range():
         ad.gather_rows(np.zeros((3, 2)), [0, 7])
 
 
+# ---------------------------------------------------------------------------
+# spmm
+
+
+def middle_rows_pattern(rows, cols, nnz, rng):
+    """A CSR pattern with ``nnz`` entries, none in the first or last row."""
+    flat = rng.choice((rows - 2) * cols, size=nnz, replace=False) + cols
+    return sparse.csr_matrix((np.ones(nnz), (flat // cols, flat % cols)), shape=(rows, cols))
+
+
+@pytest.mark.parametrize("rows,cols,nnz", [(5, 4, 6), (6, 3, 12), (4, 6, 0)])
+def test_spmm_gradients_vs_fd(rows, cols, nnz):
+    rng = np.random.default_rng(rows * 10 + nnz)
+    pattern = middle_rows_pattern(rows, cols, nnz, rng)
+    v0, x0, w = rng.normal(size=nnz), rng.normal(size=(cols, 3)), rng.normal(size=(rows, 3))
+
+    def dense(v):
+        return sparse.csr_matrix((v, pattern.indices, pattern.indptr), shape=pattern.shape).toarray()
+
+    tape = ad.Tape()
+    v, x = tape.leaf(v0), tape.leaf(x0)
+    out = ad.spmm(pattern, v, x)
+    assert np.max(np.abs(out.values - dense(v0) @ x0), initial=0.0) < 1e-12
+    assert np.all(out.values[[0, -1]] == 0.0)  # empty rows
+    ad.reduce_sum(ad.mul(out, w)).backward()
+    assert v.grad.shape == (nnz,)
+    if nnz:
+        assert rel_err(v.grad, fd_grad(lambda a: float((w * (dense(a) @ x0)).sum()),
+                                       v0.copy())) < 1e-6
+    assert rel_err(x.grad, fd_grad(lambda a: float((w * (dense(v0) @ a)).sum()),
+                                   x0.copy())) < 1e-6
+    if not nnz:
+        assert np.all(x.grad == 0.0)
+
+
+def test_spmm_shape_checks():
+    pattern = sparse.csr_matrix(np.eye(3))
+    with pytest.raises(ad.DimensionError, match="CSR"):
+        ad.spmm(np.eye(3), np.ones(3), np.ones((3, 2)))
+    with pytest.raises(ad.DimensionError, match="3 values"):
+        ad.spmm(pattern, np.ones(2), np.ones((3, 2)))
+    with pytest.raises(ad.DimensionError):
+        ad.spmm(pattern, np.ones(3), np.ones((4, 2)))
+
+
+def test_gather_rows_vector_scatter_adds():
+    tape = ad.Tape()
+    vec = tape.leaf(np.array([1.0, 2.0, 3.0]))
+    out = ad.gather_rows(vec, np.array([2, 0, 2]))
+    assert np.array_equal(out.values, [3.0, 1.0, 3.0])
+    ad.reduce_sum(ad.mul(out, np.array([1.0, 10.0, 100.0]))).backward()
+    assert np.array_equal(vec.grad, [10.0, 0.0, 101.0])
+
+
 def test_reshape_gradient():
     tape = ad.Tape()
     x = tape.leaf(np.arange(6.0))
@@ -422,17 +478,26 @@ def test_untracked_tensor_never_accumulates():
 
 
 @pytest.mark.parametrize("const_first", [False, True])
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul", "spmm"])
 def test_untracked_operand_gets_no_gradient(name, const_first):
     rng = np.random.default_rng(7)
     xv, cv, g = (rng.normal(size=(3, 3)) for _ in range(3))
+    op = getattr(ad, name)
+    if name == "spmm":  # operands (values, dense) of a fixed pattern
+        pattern = sparse.csr_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
+        op = functools.partial(ad.spmm, pattern)
+        values = rng.normal(size=pattern.nnz)
+        if const_first:
+            cv = values
+        else:
+            xv = values
 
     def slots(c_tracked):
         """The op's backward output for (x, c), with c a leaf or a constant."""
         tape = ad.Tape()
         x = tape.leaf(xv)
         c = tape.leaf(cv) if c_tracked else ad.constant(cv)
-        getattr(ad, name)(*((c, x) if const_first else (x, c)))
+        op(*((c, x) if const_first else (x, c)))
         grads = tape._entries[-1][2](g)
         return grads[::-1] if const_first else grads
 

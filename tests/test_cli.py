@@ -336,6 +336,24 @@ def test_checkpoint_loads_as_frozen_scorer(tmp_path, monkeypatch, task):
     assert np.array_equal(model.predict_scores(bundle.model, prob.examples), before)
 
 
+def test_predict_heart_failure_prints_a_plain_number(tmp_path, capsys):
+    prob = build_problem(task="heart_failure")
+    model.fit(prob.model, prob.examples, seed=0, epochs=2)
+    checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab,
+                               split={"counts": [4, 0, 0], "seed": 0})
+    patient = prob.dataset.patients[0]
+    hist_path = tmp_path / "history.json"
+    hist_path.write_text(json.dumps(
+        {"visits": [{"codes": v.codes, "note": v.note} for v in patient.feature_visits]}),
+        encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", str(tmp_path / "ck"),
+                 "--history", str(hist_path)]) == 0
+    label, value = capsys.readouterr().out.strip().split("\t")
+    assert label == "probability"
+    assert float(value) == model.predict_scores(prob.model, prob.examples[:1])[0, 0]
+
+
 def broken_checkpoint(workspace, tmp_path, edit):
     """A copy of the workspace checkpoint whose manifest ``edit`` changes."""
     ck = tmp_path / "broken"
@@ -386,7 +404,10 @@ def drop_config_key(name):
     (move_past_end("head_weight"), "head_weight"),
     (add_config_key("gru_hiden", 8), "gru_hiden"),
     (drop_config_key("use_notes"), "use_notes"),
-])
+] + [pytest.param(add_config_key(key, value), key, id=f"type-{key}") for key, value in [
+    ("gru_hidden", "16"), ("use_notes", "yes"), ("epochs", 2.5), ("batch_size", True),
+    ("learning_rate", "0.1"), ("code_layer_dims", [8, 8.0]),
+]])
 def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit, name):
     _, patient = first_split_patient(workspace, "test")
     hist_path = tmp_path / "history.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from cgl import graphs as gr
 from cgl import ontology as onto
@@ -48,7 +49,8 @@ def test_observation_single_patient_row():
     tree = flat_tree(["c0", "c1", "c2"])
     ds = make_dataset([("u1", "train", [["c0", "c2"], ["c1"]])])
     obs = gr.build_observation(ds, tree)
-    assert np.array_equal(obs.matrix, [[1.0, 0.0, 1.0]])
+    assert sparse.isspmatrix_csr(obs.matrix)
+    assert np.array_equal(obs.matrix.toarray(), [[1.0, 0.0, 1.0]])
     assert obs.patient_index == {"u1": 0}
 
 
@@ -63,7 +65,7 @@ def test_observation_label_visit_excluded():
     tree = flat_tree(["c0", "c1"])
     ds = make_dataset([("u1", "train", [["c0"], ["c1"]])])
     obs = gr.build_observation(ds, tree)
-    assert np.array_equal(obs.matrix, [[1.0, 0.0]])
+    assert np.array_equal(obs.matrix.toarray(), [[1.0, 0.0]])
 
 
 def test_observation_unknown_code():
@@ -83,16 +85,17 @@ def test_observation_matches_brute_force():
         records.append((f"u{u}", "train", visits))
     ds = make_dataset(records)
     obs = gr.build_observation(ds, tree)
-    assert np.array_equal(obs.matrix, brute_observation(ds, tree))
+    assert np.array_equal(obs.matrix.toarray(), brute_observation(ds, tree))
 
 
 def test_cooccurrence_within_visit():
     tree = flat_tree(["c0", "c1", "c2"])
     ds = make_dataset([("u1", "train", [["c0", "c1"], ["c2"]])])
     b = gr.build_cooccurrence(ds, tree)
+    assert sparse.isspmatrix_csr(b)
     assert b[0, 1] == 1.0 and b[1, 0] == 1.0
     assert b[0, 2] == 0.0  # never co-visit
-    assert np.all(np.diagonal(b) == 0)
+    assert np.all(b.diagonal() == 0)
 
 
 def test_cooccurrence_scopes_differ():
@@ -117,7 +120,8 @@ def test_cooccurrence_matches_brute_force():
                   for _ in range(int(rng.integers(2, 5)))]
         records.append((f"u{u}", "train", visits))
     ds = make_dataset(records)
-    assert np.array_equal(gr.build_cooccurrence(ds, tree), brute_cooccurrence(ds, tree))
+    assert np.array_equal(gr.build_cooccurrence(ds, tree).toarray(),
+                          brute_cooccurrence(ds, tree))
 
 
 def cousin_tree():
@@ -136,11 +140,15 @@ def test_adjacency_masking():
     cooc = np.zeros((tree.n_leaves, tree.n_leaves))
     cooc[i, j] = cooc[j, i] = 1.0
     adj = gr.build_ontology_adjacency(tree, cooc)
-    dense = adj.dense_adjacency()
+    dense = adj.adjacency.toarray()
     assert dense[i, j] == 2.0  # siblings share their level-2 parent
-    assert adj.lca_levels[i, k] == 1  # cousins under the same root
+    assert onto.lca_level(tree, i, k) == 1  # cousins under the same root
     assert dense[i, k] == 0.0  # masked: never co-occur
-    assert adj.lca_levels[i, tree.leaf_index["z1"]] == 0  # different roots
+    assert adj.adjacency.nnz == 2
+    # with every pair co-occurring, cousins link at level 1 and other roots not at all
+    full = gr.build_ontology_adjacency(tree, 1.0 - np.eye(tree.n_leaves)).adjacency
+    assert full[i, k] == 1.0
+    assert full[i, tree.leaf_index["z1"]] == 0.0
 
 
 def test_adjacency_matches_brute_force_on_fixture():
@@ -165,11 +173,12 @@ def test_adjacency_matches_brute_force_on_fixture():
         for j in range(20):
             if i != j and cooc[i, j]:
                 brute[i, j] = onto.lca_level(tree, i, j)
-    assert np.array_equal(adj.dense_adjacency(), brute)
-    # unmasked levels must also agree with the pairwise oracle
+    assert np.array_equal(adj.adjacency.toarray(), brute)
+    # with every pair co-occurring, every level must agree with the pairwise oracle
+    full = gr.build_ontology_adjacency(tree, sparse.csr_matrix(1.0 - np.eye(20)))
     for i in range(20):
         for j in range(i + 1, 20):
-            assert adj.lca_levels[i, j] == onto.lca_level(tree, i, j)
+            assert full.adjacency[i, j] == onto.lca_level(tree, i, j)
 
 
 def test_adjacency_nnz_bound_and_symmetry():
@@ -181,11 +190,12 @@ def test_adjacency_nnz_bound_and_symmetry():
         i, j = rng.choice(n, size=2, replace=False)
         cooc[i, j] = cooc[j, i] = 1.0
     adj = gr.build_ontology_adjacency(tree, cooc)
-    dense = adj.dense_adjacency()
+    dense = adj.adjacency.toarray()
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diagonal(dense) == 0)
     nnz = np.count_nonzero
-    assert nnz(dense) <= min(nnz(adj.lca_levels), nnz(cooc))
+    linked = sum(onto.lca_level(tree, i, j) > 0 for i in range(n) for j in range(n) if i != j)
+    assert nnz(dense) <= min(linked, nnz(cooc))
     assert np.all((dense == 0) | ((dense >= 1) & (dense <= tree.levels - 1)))
 
 
@@ -200,6 +210,11 @@ def test_adjacency_input_validation():
     bad2[2, 2] = 1.0
     with pytest.raises(ValueError):
         gr.build_ontology_adjacency(tree, bad2)
+    for matrix in (bad, bad2):  # the same checks on sparse input
+        with pytest.raises(ValueError):
+            gr.build_ontology_adjacency(tree, sparse.csr_matrix(matrix))
+    with pytest.raises(ValueError):
+        gr.build_ontology_adjacency(tree, np.zeros((n + 1, n + 1)))
 
 
 def test_rebuild_is_bit_identical():
@@ -211,15 +226,42 @@ def test_rebuild_is_bit_identical():
         visits = [list(rng.choice(codes, size=2, replace=False)) for _ in range(3)]
         records.append((f"u{u}", "train", visits))
     ds = make_dataset(records)
-    a1 = gr.build_observation(ds, tree).matrix
-    a2 = gr.build_observation(ds, tree).matrix
-    assert np.array_equal(a1, a2)
-    b1 = gr.build_cooccurrence(ds, tree)
-    b2 = gr.build_cooccurrence(ds, tree)
-    assert np.array_equal(b1, b2)
+    for build in (lambda: gr.build_observation(ds, tree).matrix,
+                  lambda: gr.build_cooccurrence(ds, tree)):
+        m1, m2 = build(), build()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(m1, part), getattr(m2, part))
 
 
 def test_export_adjacency(tmp_path):
     path = tmp_path / "adj.txt"
-    gr.export_adjacency(np.array([[0.0, 2.0], [2.0, 0.0]]), path)
+    gr.export_adjacency(sparse.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]])), path)
     assert path.read_text(encoding="utf-8") == "0 1 2\n1 0 2\n"
+
+
+def dense_export_adjacency(matrix, path):
+    """Reference writer: densify, then write the non-zeros in row-major order."""
+    if sparse.issparse(matrix):
+        matrix = np.asarray(matrix.todense())
+    matrix = np.asarray(matrix)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, j in zip(*np.nonzero(matrix)):
+            fh.write(f"{i} {j} {matrix[i, j]:g}\n")
+
+
+def test_export_adjacency_matches_dense_writer(tmp_path):
+    rng = np.random.default_rng(29)
+    codes = [f"c{i}" for i in range(12)]
+    tree = flat_tree(codes)
+    records = [(f"u{u}", "train", [list(rng.choice(codes, size=3, replace=False))
+                                   for _ in range(3)]) for u in range(6)]
+    ds = make_dataset(records)
+    cooc = gr.build_cooccurrence(ds, tree)
+    # unsorted indices, an explicit zero, a duplicate entry and values that need %g
+    odd = sparse.csr_matrix((np.array([2.5e-7, 0.0, 3.0, 1.25, 1.0]),
+                             np.array([3, 1, 0, 2, 2]), np.array([0, 3, 3, 5])), shape=(3, 4))
+    for matrix in (gr.build_observation(ds, tree).matrix, cooc,
+                   gr.build_ontology_adjacency(tree, cooc).adjacency, odd):
+        gr.export_adjacency(matrix, tmp_path / "sparse.txt")
+        dense_export_adjacency(matrix, tmp_path / "dense.txt")
+        assert (tmp_path / "sparse.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()

@@ -7,6 +7,14 @@ and backward releases the recorded entries, so each intermediate gradient is
 freed once it has been propagated. Ops compute no gradient for an untracked
 operand.
 
+Two ops defer their gradient instead of forming it densely: ``matmul`` for its
+right operand (kept as the left operand's rows and the output gradient's rows)
+and ``gather_rows`` on a 2-d table (kept as the indices and the gradient rows).
+The tape collects a node's deferred contributions and resolves them once, when
+it first reads that node's gradient: one GEMM over the stacked rows, or one
+scatter-add over the concatenated indices, added to the node's dense sum. A
+node with a single contribution gets the same bits as resolving it alone.
+
 Broadcasting in the binary elementwise ops is restricted to the two cases the
 models here actually need: a scalar operand, or an operand whose shape is a
 trailing suffix of the other's (a bias row added to a matrix). Anything else
@@ -98,31 +106,6 @@ class Tensor:
             raise TapeError("backward() on a tensor that is not on any tape")
         self.tape.backward(self)
 
-    # Operator sugar; plain scalars and arrays are lifted to constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self) -> str:
         kind = "tracked" if self.tracked else "constant"
         return f"Tensor(shape={self.shape}, {kind})"
@@ -131,6 +114,50 @@ class Tensor:
 def constant(values) -> Tensor:
     """An untracked tensor; gradients never flow into it."""
     return Tensor(values)
+
+
+@dataclass(eq=False, slots=True)
+class _Deferred:
+    """One gradient contribution kept as two factors until the tape resolves it.
+
+    A product contribution is ``left.T @ rows`` reshaped to ``shape``; a
+    scatter contribution adds each row of ``rows`` at the row index ``left``
+    of a zero array of ``shape``. ``np.asarray`` resolves it on its own.
+    """
+
+    scatter: bool
+    shape: tuple[int, ...]
+    left: np.ndarray
+    rows: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return _resolve([self])
+
+
+def _resolve(parts: list[_Deferred]) -> np.ndarray:
+    """The sum of deferred contributions of one kind: one GEMM or one scatter."""
+    first = parts[0]
+    if len(parts) == 1:
+        left, rows = first.left, first.rows
+    else:
+        left = np.concatenate([p.left for p in parts])
+        rows = np.concatenate([p.rows for p in parts])
+    if first.scatter:
+        out = np.zeros(first.shape)
+        np.add.at(out, left, rows)
+        return out
+    return (left.T @ rows).reshape(first.shape)
+
+
+def _settle(dense: np.ndarray | None, parts: list[_Deferred] | None) -> np.ndarray | None:
+    """A node's gradient: its dense sum plus its deferred contributions."""
+    if parts:
+        for scatter in (False, True):
+            same = [p for p in parts if p.scatter is scatter]
+            if same:
+                g = _resolve(same)
+                dense = g if dense is None else dense + g
+    return dense
 
 
 class Tape:
@@ -156,7 +183,8 @@ class Tape:
 
     def record(self, values, inputs: tuple[Tensor, ...], backward) -> Tensor:
         """Append one op. ``backward(dout)`` returns per-input gradients
-        aligned with ``inputs`` (``None`` for inputs that need none)."""
+        aligned with ``inputs`` (``None`` for inputs that need none); a
+        gradient may be a deferred contribution instead of an array."""
         if self._spent:
             raise TapeError("tape already consumed by backward()")
         out = Tensor(values, self, self._fresh_id())
@@ -173,18 +201,22 @@ class Tape:
         self._spent = True
         seed = np.ones_like(loss.values)
         grads: dict[int, np.ndarray] = {loss.node_id: seed}
+        deferred: dict[int, list[_Deferred]] = {}
         for out_id, in_ids, backward_fn in reversed(self._entries):
-            g = grads.pop(out_id, None)
+            g = _settle(grads.pop(out_id, None), deferred.pop(out_id, None))
             if g is None:  # branch that never reached the loss
                 continue
             for in_id, gi in zip(in_ids, backward_fn(g)):
                 if in_id is None or gi is None:
                     continue
+                if isinstance(gi, _Deferred):
+                    deferred.setdefault(in_id, []).append(gi)
+                    continue
                 have = grads.get(in_id)
                 grads[in_id] = gi if have is None else have + gi
         loss.grad = seed
         for t in self._leaves:
-            g = grads.get(t.node_id)
+            g = _settle(grads.get(t.node_id), deferred.get(t.node_id))
             t.grad = np.zeros_like(t.values) if g is None else np.asarray(g, dtype=np.float64)
         # Tensors point at their tape; dropping the tape's references back to
         # them breaks the cycle, so the tape is freed without the collector.
@@ -353,15 +385,8 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(out2.shape)
-        ga = gb = None
-        if need_a:
-            ga = g2 @ b2.T
-            if av.ndim == 1:
-                ga = ga[0]
-        if need_b:
-            gb = a2.T @ g2
-            if bv.ndim == 1:
-                gb = gb[:, 0]
+        ga = (g2 @ b2.T).reshape(av.shape) if need_a else None
+        gb = _Deferred(False, bv.shape, a2, g2) if need_b else None
         return ga, gb
 
     return _emit(_tape_of(a, b), out, (a, b), backward)
@@ -488,7 +513,8 @@ def reshape(x, shape) -> Tensor:
 
 def gather_rows(table, indices) -> Tensor:
     """Select rows of a 2-d table, or entries of a vector; backward
-    scatter-adds, so repeated indices accumulate gradient."""
+    scatter-adds, so repeated indices accumulate gradient. A table's
+    scatter is deferred to the tape; a vector's is one ``bincount``."""
     table = _lift(table)
     tv = table.values
     if tv.ndim not in (1, 2):
@@ -505,9 +531,7 @@ def gather_rows(table, indices) -> Tensor:
     def backward(g):
         if tv.ndim == 1:
             return (np.bincount(idx, weights=g, minlength=n),)
-        out = np.zeros_like(tv)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (_Deferred(True, tv.shape, idx, g),)
 
     return _emit(_tape_of(table), tv[idx], (table,), backward)
 

@@ -293,11 +293,18 @@ def _load_history_file(path) -> list[dict]:
     if not content:
         raise ValueError(f"patient history file {path} is empty")
     obj = json.loads(content.splitlines()[0])
-    return obj["visits"] if isinstance(obj, dict) else obj
+    if not isinstance(obj, dict):
+        return obj
+    if "visits" not in obj:
+        raise ValueError(f"patient history {path} has no 'visits' field")
+    return obj["visits"]
 
 
 def cmd_predict(args) -> int:
     opts = gather_options(args)
+    top = opts.value("top", 20)
+    if top < 1:
+        raise ValueError(f"option 'top' must be at least 1, got {top}")
     bundle = load_checkpoint(opts.require("checkpoint"))
     visits = _load_history_file(opts.require("history"))
     n_out = bundle.model.params.arrays["head_bias"].shape[0]
@@ -306,7 +313,6 @@ def cmd_predict(args) -> int:
     if bundle.task == "heart_failure":
         print(f"probability\t{float(scores[0])!r}")
         return 0
-    top = opts.value("top", 20)
     order = top_k_indices(scores, top)
     rows = [[bundle.tree.leaf_ids[i], float(scores[i])] for i in order]
     print("code,score")

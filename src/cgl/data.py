@@ -35,7 +35,6 @@ __all__ = [
     "make_labels",
     "split_dataset",
     "patient_document",
-    "model_note",
     "GeneratorConfig",
     "generate_synthetic",
 ]
@@ -92,11 +91,6 @@ def patient_document(patient: Patient) -> list[str]:
     for visit in patient.feature_visits:
         doc.extend(visit.note)
     return doc
-
-
-def model_note(patient: Patient) -> list[str]:
-    """The note the model consumes: the latest feature visit's tokens."""
-    return patient.feature_visits[-1].note
 
 
 def _parse_patient(obj, where: str) -> Patient:

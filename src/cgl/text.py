@@ -26,7 +26,6 @@ __all__ = [
     "fit_vocabulary",
     "tfidf_beta",
     "save_vocabulary",
-    "load_vocabulary",
 ]
 
 BETA_EPS = 1e-6
@@ -102,13 +101,3 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
         for word, ix in by_index:
             fh.write(f"{word}\t{ix}\t{vocab.doc_freq[word]}\n")
 
-
-def load_vocabulary(path, doc_count: int) -> Vocabulary:
-    word_index: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            word, ix, df = line.rstrip("\n").split("\t")
-            word_index[word] = int(ix)
-            doc_freq[word] = int(df)
-    return Vocabulary(word_index, doc_freq, doc_count)

@@ -226,8 +226,9 @@ def test_predict_unknown_code_exits_2(workspace, tmp_path, capsys):
     ('{"visits": [{"codes": "c00.0.0.0"}]}', "codes"),
     ('{"visits": [{"codes": ["c00.0.0.0"], "note": 5}]}', "note"),
     ('[{"codes": ["c00.0.0.0"], "note": null}]', "note"),
+    ('{"visit": [{"codes": ["c00.0.0.0"]}]}', "visits"),
 ], ids=["visits-number", "visit-number", "no-codes", "codes-string", "note-number",
-        "note-null"])
+        "note-null", "no-visits"])
 def test_predict_malformed_history_exits_2(workspace, tmp_path, capsys, record, field):
     hist_path = tmp_path / "bad.json"
     hist_path.write_text(record, encoding="utf-8")
@@ -236,7 +237,28 @@ def test_predict_malformed_history_exits_2(workspace, tmp_path, capsys, record, 
                "--history", str(hist_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"'{field}'" in err and "Traceback" not in err
+    assert f"'{field}'" in err and "patient history" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args,config", [
+    (["--top", "-3"], None), (["--top", "0"], None), ([], "top = 0"),
+], ids=["flag-negative", "flag-zero", "config-zero"])
+def test_predict_top_below_one_exits_2(workspace, tmp_path, capsys, args, config):
+    _, patient = first_split_patient(workspace, "test")
+    hist_path = tmp_path / "history.json"
+    hist_path.write_text(json.dumps({"visits": [{"codes": v.codes, "note": v.note}
+                                                for v in patient.feature_visits]}),
+                         encoding="utf-8")
+    if config is not None:
+        (tmp_path / "top.cfg").write_text(config + "\n", encoding="utf-8")
+        args = ["--config", str(tmp_path / "top.cfg")]
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(workspace["run"] / "checkpoint"),
+               "--history", str(hist_path), *args])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "'top'" in err and "at least 1" in err
+    assert out == ""
 
 
 def test_history_to_example_matches_prepare_examples(workspace):

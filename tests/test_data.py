@@ -226,4 +226,3 @@ def test_document_helpers():
         data.Visit(["c"], ["w4"]),
     ])
     assert data.patient_document(p) == ["w1", "w2", "w3"]
-    assert data.model_note(p) == ["w3"]

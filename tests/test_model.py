@@ -7,6 +7,7 @@ from scipy import sparse
 
 from cgl import autodiff as ad
 from cgl import data, graphs, model, ontology
+from eager_backward import eager_backward
 from problem_fixtures import build_problem, tiny_dataset
 
 SIG = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -227,7 +228,10 @@ def test_graph_layers_bit_identical_to_inline_oracle(seed, n_layers):
     to the dense oracle, with and without the two graph ablations. The slope
     and shift gradients sum the same per-link terms in another order (per
     link, then by source column), so they, the 3-epoch history and the frozen
-    code features match to 1e-12."""
+    code features match to 1e-12. Gradients come from the eager sweep, which
+    adds contributions in the order they arrive: the tape defers the oracle's
+    dense products into h_c and h_p, and the sparse path's spmm products it
+    does not, so under the tape the two sum the same terms in another order."""
     for ablate in ({}, {"use_ontology_weights": False}, {"use_observation_graph": False}):
         check_against_dense_oracle(seed, n_layers, ablate)
 
@@ -238,8 +242,8 @@ def check_against_dense_oracle(seed, n_layers, ablate):
     old.model.graph_forward = types.MethodType(inline_graph_forward, old.model)
     (loss_new, leaves_new), (loss_old, leaves_old) = (
         prob.model.loss_program(prob.examples)() for prob in (new, old))
-    loss_new.backward()
-    loss_old.backward()
+    eager_backward(loss_new)
+    eager_backward(loss_old)
     assert loss_new.item() == loss_old.item()
     assert set(leaves_new) == set(leaves_old)
     for name in leaves_new:

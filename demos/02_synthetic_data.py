@@ -11,7 +11,7 @@ import numpy as np
 
 from cgl.data import GeneratorConfig, generate_synthetic, load_dataset
 from cgl.graphs import build_cooccurrence, build_observation, build_ontology_adjacency
-from cgl.ontology import ancestor_ranks, load_ontology, pad_virtual_leaves
+from cgl.ontology import load_ontology, pad_virtual_leaves
 from cgl.data import split_dataset
 
 cfg = GeneratorConfig(
@@ -41,7 +41,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"codes: {n}, training patients: {obs.n_patients}")
     print(f"observation edges: {obs.matrix.nnz}")
     # Two leaves share an ancestor exactly when they share a root.
-    per_root = np.bincount(ancestor_ranks(tree)[:, 0])
+    per_root = np.bincount(tree.ancestors[:, 0])
     print(f"hierarchy pairs with a common ancestor: "
           f"{int((per_root * (per_root - 1) // 2).sum())}")
     print(f"kept after co-occurrence masking: {adj.adjacency.nnz // 2} "

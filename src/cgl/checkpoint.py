@@ -62,7 +62,7 @@ def save_checkpoint(out_dir, model: CollaborativeGraphModel, vocab: Vocabulary,
         offset += len(raw)
 
     tree = model.tree
-    edges = [[name, tree.nodes[name].parent] for name in sorted(tree.nodes)]
+    edges = [[name, tree.parent[name]] for name in sorted(tree.parent)]
     manifest = {
         "format": FORMAT,
         "task": model.config.task,
@@ -124,9 +124,19 @@ def _config_from(stored: dict) -> ModelConfig:
 
 
 def _rebuild_tree(manifest: dict) -> OntologyTree:
-    edges = [(child, parent) for child, parent in manifest["ontology_edges"]]
-    tree = load_ontology(edges)
-    tree.code_leaf.update({code: int(ix) for code, ix in manifest["code_map"].items()})
+    """The padded hierarchy, with every code mapped to a leaf index in range."""
+    edges = manifest["ontology_edges"]
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2 and isinstance(edge[0], str)
+                and (edge[1] is None or isinstance(edge[1], str))):
+            raise ValueError(f"checkpoint key 'ontology_edges' holds {edge!r}, "
+                             f"not a [child, parent] pair")
+    tree = load_ontology([(child, parent) for child, parent in edges])
+    for code, ix in manifest["code_map"].items():
+        if type(ix) is not int or not 0 <= ix < tree.n_leaves:
+            raise ValueError(f"checkpoint key 'code_map' maps {code!r} to {ix!r}, "
+                             f"not a leaf index in [0, {tree.n_leaves})")
+    tree.code_leaf.update(manifest["code_map"])
     return tree
 
 
@@ -151,7 +161,6 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
     model = FrozenScorer(config, ModelParams(arrays), frozen)
 
     return SimpleNamespace(
-        model=model, tree=tree, vocab=vocab, config=config,
-        task=manifest["task"], hf_prefix=manifest["hf_prefix"],
-        metric_ks=tuple(manifest["metric_ks"]), split=manifest["split"],
-        manifest=manifest)
+        model=model, tree=tree, vocab=vocab, task=manifest["task"],
+        hf_prefix=manifest["hf_prefix"], metric_ks=tuple(manifest["metric_ks"]),
+        split=manifest["split"])

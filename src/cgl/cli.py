@@ -300,16 +300,22 @@ def _load_history_file(path) -> list[dict]:
     return obj["visits"]
 
 
+def _score_history(bundle, opts: Options):
+    """The example built from the ``history`` file, its scores and note attention."""
+    visits = _load_history_file(opts.require("history"))
+    n_out = bundle.model.params.arrays["head_bias"].shape[0]
+    example = history_to_example(visits, bundle.tree, bundle.vocab, n_out)
+    scores, alpha = bundle.model.predict_example(example)
+    return example, scores, alpha
+
+
 def cmd_predict(args) -> int:
     opts = gather_options(args)
     top = opts.value("top", 20)
     if top < 1:
         raise ValueError(f"option 'top' must be at least 1, got {top}")
     bundle = load_checkpoint(opts.require("checkpoint"))
-    visits = _load_history_file(opts.require("history"))
-    n_out = bundle.model.params.arrays["head_bias"].shape[0]
-    example = history_to_example(visits, bundle.tree, bundle.vocab, n_out)
-    scores, _ = bundle.model.predict_example(example)
+    _, scores, _ = _score_history(bundle, opts)
     if bundle.task == "heart_failure":
         print(f"probability\t{float(scores[0])!r}")
         return 0
@@ -345,10 +351,7 @@ def cmd_export(args) -> int:
         print(f"wrote {out_dir / 'code_embeddings.csv'} ({len(rows)} codes)")
         return 0
     if what == "attention":
-        visits = _load_history_file(opts.require("history"))
-        n_out = bundle.model.params.arrays["head_bias"].shape[0]
-        example = history_to_example(visits, bundle.tree, bundle.vocab, n_out)
-        _, alpha = bundle.model.predict_example(example)
+        example, _, alpha = _score_history(bundle, opts)
         if alpha is None:
             raise ValueError("this checkpoint was trained without the note path")
         index_to_word = {ix: w for w, ix in bundle.vocab.word_index.items()}

@@ -201,6 +201,9 @@ def split_dataset(dataset: EhrDataset, counts: tuple[int, int, int], seed: int) 
     Patients beyond the requested counts stay untagged and are ignored
     downstream.
     """
+    if len(counts) != 3:
+        raise ValueError(f"split_counts needs three values (train, valid, test), "
+                         f"got {tuple(counts)}")
     n_train, n_valid, n_test = counts
     total = n_train + n_valid + n_test
     if total > len(dataset.patients):
@@ -291,22 +294,6 @@ def _build_tree_edges(cfg: GeneratorConfig) -> list[tuple[str, str | None]]:
     return edges
 
 
-def _leaves_under(tree: OntologyTree, node: str) -> list[str]:
-    children: dict[str, list[str]] = {}
-    for name, n in tree.nodes.items():
-        if n.parent is not None:
-            children.setdefault(n.parent, []).append(name)
-    out, stack = [], [node]
-    while stack:
-        cur = stack.pop()
-        kids = children.get(cur)
-        if not kids:
-            out.append(cur)
-        else:
-            stack.extend(kids)
-    return sorted(out)
-
-
 def _plugin_mi(x: np.ndarray, y: np.ndarray) -> float:
     """Plug-in mutual information between two discrete samples, in nats."""
     n = x.size
@@ -339,10 +326,8 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int, out_dir) -> dict:
     cluster_nodes_all = tree.level_nodes[cfg.cluster_level]
     picks = np.sort(rng.choice(len(cluster_nodes_all), size=cfg.clusters, replace=False))
     cluster_nodes = [cluster_nodes_all[i] for i in picks]
-    cluster_leaves = [
-        np.array([tree.leaf_index[l] for l in _leaves_under(tree, node)])
-        for node in cluster_nodes
-    ]
+    cluster_ranks = tree.ancestors[:, cfg.cluster_level - 1]
+    cluster_leaves = [np.flatnonzero(cluster_ranks == rank) for rank in picks]
     partner = [(i + cfg.clusters // 2) % cfg.clusters for i in range(cfg.clusters)]
 
     pool_probs = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .ontology import OntologyTree, ancestor_ranks
+from .ontology import OntologyTree
 
 __all__ = [
     "ObservationGraph",
@@ -116,7 +116,7 @@ def build_ontology_adjacency(tree: OntologyTree, cooccurrence) -> OntologyAdjace
     # is the count of levels 1..K-1 where the ancestors coincide.
     pairs = cooc.tocoo()
     rows, cols = pairs.row, pairs.col
-    paths = ancestor_ranks(tree)[:, :-1]
+    paths = tree.ancestors[:, :-1]
     levels = (paths[rows] == paths[cols]).sum(axis=1)
     keep = levels > 0
     linked = sparse.csr_matrix((levels[keep].astype(np.float64), (rows[keep], cols[keep])),

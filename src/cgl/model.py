@@ -38,7 +38,7 @@ from scipy import sparse
 from . import autodiff as ad
 from .data import EhrDataset, LabelSet, Visit
 from .graphs import ObservationGraph, OntologyAdjacency
-from .ontology import OntologyTree, ancestor_ranks
+from .ontology import OntologyTree
 from .text import MAX_NOTE_TOKENS, Vocabulary, tfidf_beta
 from . import metrics as metrics_mod
 
@@ -364,8 +364,6 @@ class CollaborativeGraphModel(FrozenScorer):
         self.obs_t = self.obs.T.tocsr()
         self.links = adjacency.adjacency  # CSR; each stored value is the link's LCA level
 
-        self.level_indices = ancestor_ranks(tree)
-
         super().__init__(config, self._init_params(np.random.default_rng(seed)))
 
     # -- parameters --------------------------------------------------------
@@ -416,7 +414,7 @@ class CollaborativeGraphModel(FrozenScorer):
         if not self.config.use_hierarchical_embedding:
             return leaves["code_embed"]
         parts = [
-            ad.gather_rows(leaves[f"level_embed_{lvl + 1}"], self.level_indices[:, lvl])
+            ad.gather_rows(leaves[f"level_embed_{lvl + 1}"], self.tree.ancestors[:, lvl])
             for lvl in range(self.tree.levels)
         ]
         out = parts[0]

@@ -4,11 +4,17 @@ Nodes live at levels 1..K (level 1 = roots). Diagnosable codes that sit above
 level K are padded with a chain of virtual descendants so that every code in
 the data resolves to a level-K leaf. Leaves are indexed densely and
 lexicographically by identifier, which keeps indices stable across runs.
+
+A tree is two maps, ``parent`` and ``level``, plus one derived table,
+``ancestors``: row i holds the rank of leaf i's ancestor at each level, the
+rank being the node's position in the sorted ``level_nodes`` of its level.
+Every ancestor query (the hierarchical embedding, LCA levels, paths) reads
+that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +28,6 @@ __all__ = [
     "pad_virtual_leaves",
     "lca_level",
     "ancestor_path",
-    "ancestor_ranks",
 ]
 
 ROOT_MARK = "-"
@@ -32,32 +37,25 @@ class OntologyError(ValueError):
     """Structurally invalid hierarchy (cycle, missing parent, duplicate edge)."""
 
 
-@dataclass(frozen=True)
-class Node:
-    level: int
-    parent: str | None
-    virtual: bool = False
-
-
 class OntologyTree:
-    """Validated hierarchy with per-level counts and a dense leaf index.
+    """Validated hierarchy with per-level node lists and a dense leaf index.
 
-    ``leaf_index`` maps every level-K node id to an index in [0, n_leaves);
-    ``code_leaf`` maps every diagnosable code id (leaf or padded non-leaf)
-    to its leaf index. Immutable after construction.
+    ``parent`` maps every node id to its parent id (``None`` for a root) and
+    ``level`` to its level. ``leaf_index`` maps every level-K node id to an
+    index in [0, n_leaves); ``code_leaf`` maps every diagnosable code id
+    (leaf or padded non-leaf) to its leaf index, and is extended in place by
+    padding and by checkpoint load.
     """
 
-    def __init__(self, nodes: dict[str, Node]):
-        self.nodes = nodes
-        self.levels = max((n.level for n in nodes.values()), default=0)
+    def __init__(self, parent: dict[str, str | None], level: dict[str, int]):
+        self.parent = parent
+        self.level = level
+        self.levels = max(level.values(), default=0)
         by_level: dict[int, list[str]] = {}
-        for name, node in nodes.items():
-            by_level.setdefault(node.level, []).append(name)
+        for name, lvl in level.items():
+            by_level.setdefault(lvl, []).append(name)
         self.level_nodes = {k: sorted(v) for k, v in by_level.items()}
         self.level_sizes = {k: len(v) for k, v in self.level_nodes.items()}
-        self.level_rank = {
-            name: i for k in self.level_nodes for i, name in enumerate(self.level_nodes[k])
-        }
         leaves = self.level_nodes.get(self.levels, [])
         self.leaf_index = {name: i for i, name in enumerate(leaves)}
         self.leaf_ids = leaves
@@ -67,9 +65,6 @@ class OntologyTree:
     def n_leaves(self) -> int:
         return len(self.leaf_ids)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.nodes
-
     def leaf_for(self, code: str) -> int:
         """Dense leaf index of a diagnosable code (after padding)."""
         try:
@@ -77,17 +72,26 @@ class OntologyTree:
         except KeyError:
             raise KeyError(f"code {code!r} does not resolve to a leaf") from None
 
-    def ancestor_ids(self, leaf_id: str) -> tuple[str, ...]:
-        """Ancestor identifiers for levels 1..K; the last entry is the leaf."""
-        node = self.nodes.get(leaf_id)
-        if node is None or node.level != self.levels:
-            raise ValueError(f"{leaf_id!r} is not a leaf")
-        chain = [leaf_id]
-        cur = node
-        while cur.parent is not None:
-            chain.append(cur.parent)
-            cur = self.nodes[cur.parent]
-        return tuple(reversed(chain))
+    @cached_property
+    def ancestors(self) -> np.ndarray:
+        """(n_leaves, K) table: column k holds each leaf's level-(k+1) ancestor rank.
+
+        Built bottom-up: the parent ranks of each level are indexed by the
+        ranks already found one level below.
+        """
+        table = np.empty((self.n_leaves, self.levels), dtype=np.intp)
+        if not self.levels:
+            return table
+        ranks = np.arange(self.n_leaves, dtype=np.intp)
+        table[:, -1] = ranks
+        for k in range(self.levels, 1, -1):
+            above = {name: i for i, name in enumerate(self.level_nodes[k - 1])}
+            nodes = self.level_nodes[k]
+            parent_rank = np.fromiter((above[self.parent[name]] for name in nodes),
+                                      dtype=np.intp, count=len(nodes))
+            ranks = parent_rank[ranks]
+            table[:, k - 2] = ranks
+        return table
 
 
 def parse_edges(lines) -> list[tuple[str, str | None]]:
@@ -131,31 +135,28 @@ def load_ontology(source) -> OntologyTree:
         if parent is not None and parent not in parent_of:
             raise OntologyError(f"node {child!r} references unknown parent {parent!r}")
 
-    levels: dict[str, int] = {}
-
-    def level_of(name: str, trail: set[str]) -> int:
-        if name in levels:
-            return levels[name]
-        if name in trail:
-            raise OntologyError(f"cycle through node {name!r}")
-        trail.add(name)
-        parent = parent_of[name]
-        lvl = 1 if parent is None else level_of(parent, trail) + 1
-        trail.discard(name)
-        levels[name] = lvl
-        return lvl
-
-    for name in parent_of:
-        level_of(name, set())
-
-    nodes = {name: Node(levels[name], parent_of[name]) for name in parent_of}
-    return OntologyTree(nodes)
+    # Walk up from each node to a root or a node already placed; 0 marks a
+    # node on the current walk, so meeting one again is a cycle.
+    level: dict[str, int] = {}
+    for start in parent_of:
+        walk = []
+        cur = start
+        while cur is not None and cur not in level:
+            level[cur] = 0
+            walk.append(cur)
+            cur = parent_of[cur]
+        if cur is not None and level[cur] == 0:
+            raise OntologyError(f"cycle through node {cur!r}")
+        base = 0 if cur is None else level[cur]
+        for depth, name in enumerate(reversed(walk), start=base + 1):
+            level[name] = depth
+    return OntologyTree(parent_of, level)
 
 
 def save_ontology(tree: OntologyTree, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(tree.nodes):
-            parent = tree.nodes[name].parent
+        for name in sorted(tree.parent):
+            parent = tree.parent[name]
             fh.write(f"{name}\t{parent if parent is not None else ROOT_MARK}\n")
 
 
@@ -167,46 +168,38 @@ def pad_virtual_leaves(tree: OntologyTree, diagnosed) -> OntologyTree:
     diagnoses. Nodes nobody diagnoses are left alone. Virtual identifiers are
     the origin id suffixed with the level, e.g. ``401_v4``.
     """
-    missing = sorted(c for c in diagnosed if c not in tree.nodes)
+    missing = sorted(c for c in diagnosed if c not in tree.parent)
     if missing:
         raise OntologyError(f"diagnosed codes not in the hierarchy: {missing[:5]}")
     k_max = tree.levels
-    nodes = dict(tree.nodes)
+    parent, level = dict(tree.parent), dict(tree.level)
     code_leaf_name: dict[str, str] = {}
     for code in sorted(diagnosed):
-        level = tree.nodes[code].level
-        if level == k_max:
-            code_leaf_name[code] = code
-            continue
-        parent = code
-        for k in range(level + 1, k_max + 1):
+        above = code
+        for k in range(tree.level[code] + 1, k_max + 1):
             name = f"{code}_v{k}"
-            if name in nodes and not nodes[name].virtual:
+            if name in tree.parent:
                 raise OntologyError(f"virtual id {name!r} collides with a real node")
-            nodes[name] = Node(k, parent, virtual=True)
-            parent = name
-        code_leaf_name[code] = parent
+            parent[name], level[name] = above, k
+            above = name
+        code_leaf_name[code] = above
 
-    padded = OntologyTree(nodes)
+    padded = OntologyTree(parent, level)
     for code, leaf_name in code_leaf_name.items():
         padded.code_leaf[code] = padded.leaf_index[leaf_name]
     return padded
 
 
-def ancestor_path(tree: OntologyTree, code_index: int) -> tuple[str, ...]:
-    """Ancestor identifiers for levels 1..K of the leaf at ``code_index``."""
+def _ancestor_row(tree: OntologyTree, code_index: int) -> np.ndarray:
     if not 0 <= code_index < tree.n_leaves:
         raise ValueError(f"leaf index {code_index} out of range")
-    return tree.ancestor_ids(tree.leaf_ids[code_index])
+    return tree.ancestors[code_index]
 
 
-def ancestor_ranks(tree: OntologyTree) -> np.ndarray:
-    """(n_leaves, K) table: column k holds each leaf's level-(k+1) ancestor rank."""
-    ranks = np.empty((tree.n_leaves, tree.levels), dtype=np.intp)
-    for i in range(tree.n_leaves):
-        for k, name in enumerate(ancestor_path(tree, i)):
-            ranks[i, k] = tree.level_rank[name]
-    return ranks
+def ancestor_path(tree: OntologyTree, code_index: int) -> tuple[str, ...]:
+    """Ancestor identifiers for levels 1..K of the leaf at ``code_index``."""
+    ranks = _ancestor_row(tree, code_index).tolist()
+    return tuple(tree.level_nodes[k][rank] for k, rank in enumerate(ranks, start=1))
 
 
 def lca_level(tree: OntologyTree, ci: int, cj: int) -> int:
@@ -218,10 +211,6 @@ def lca_level(tree: OntologyTree, ci: int, cj: int) -> int:
     """
     if ci == cj:
         raise ValueError("lca_level needs two distinct leaves")
-    pa, pb = ancestor_path(tree, ci), ancestor_path(tree, cj)
-    level = 0
-    for k, (a, b) in enumerate(zip(pa, pb), start=1):
-        if a != b:
-            break
-        level = k
-    return level
+    # Single parents make ancestor agreement prefix-closed, so the LCA level
+    # is the number of levels where the two ancestors coincide.
+    return int(np.count_nonzero(_ancestor_row(tree, ci) == _ancestor_row(tree, cj)))

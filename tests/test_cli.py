@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from dataclasses import fields
@@ -72,6 +73,20 @@ def test_generate_outputs_load(workspace):
     assert manifest["seed"] == 11
     ds = load_dataset(gen / "dataset.jsonl")
     assert len(ds.patients) == 24
+
+
+# sha256 of the workspace corpus (TINY_CONFIG, seed 11), pinned when the
+# generator's cluster leaves were still found by a walk over a children map
+GENERATED_SHA256 = {
+    "ontology.tsv": "862fb863f33590080719ff1fcdc4720a908e888875d922a55d7b2555f0aac45c",
+    "dataset.jsonl": "2ede2228c1df4ff2feed20f00cf3ac28d633c575224fc7f6641b638e43bfd17f",
+    "dataset.manifest.json": "4841bfa7151644ad855f9fd238991ebf97f63ebdd58400a9e09bfc7233f1f19f",
+}
+
+
+def test_generate_output_is_pinned(workspace):
+    for name, digest in GENERATED_SHA256.items():
+        assert hashlib.sha256((workspace["gen"] / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_generate_deterministic(workspace, tmp_path):
@@ -418,6 +433,19 @@ def drop_config_key(name):
     return edit
 
 
+def set_code_map_value(value):
+    def edit(manifest):
+        code = sorted(manifest["code_map"])[0]
+        manifest["code_map"][code] = value
+    return edit
+
+
+def set_first_edge(edge):
+    def edit(manifest):
+        manifest["ontology_edges"][0] = edge
+    return edit
+
+
 @pytest.mark.parametrize("edit,name", [
     (drop_array("head_bias"), "head_bias"),
     (drop_array("frozen_code_repr"), "frozen_code_repr"),
@@ -429,6 +457,12 @@ def drop_config_key(name):
 ] + [pytest.param(add_config_key(key, value), key, id=f"type-{key}") for key, value in [
     ("gru_hidden", "16"), ("use_notes", "yes"), ("epochs", 2.5), ("batch_size", True),
     ("learning_rate", "0.1"), ("code_layer_dims", [8, 8.0]),
+]] + [pytest.param(edit, name, id=ident) for edit, name, ident in [
+    (set_code_map_value(99999), "code_map", "code_map-past-end"),
+    (set_code_map_value(-1), "code_map", "code_map-negative"),
+    (set_code_map_value(1.0), "code_map", "code_map-float"),
+    (set_first_edge(["a", "b", "c"]), "ontology_edges", "edge-triple"),
+    (set_first_edge("a"), "ontology_edges", "edge-string"),
 ]])
 def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit, name):
     _, patient = first_split_patient(workspace, "test")
@@ -494,6 +528,29 @@ def test_bad_config_key_or_value_exits_2(workspace, tmp_path, capsys, line, name
                "--out", str(tmp_path / "run")])
     assert rc == 2
     assert repr(name) in capsys.readouterr().err
+
+
+def test_evaluate_negative_code_map_value_exits_2(workspace, tmp_path, capsys):
+    ck = broken_checkpoint(workspace, tmp_path, set_code_map_value(-1))
+    capsys.readouterr()
+    rc = main(["evaluate", "--checkpoint", str(ck),
+               "--dataset", str(workspace["gen"] / "dataset.jsonl"),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert "'code_map'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", ["200,50", "16,4,4,4"])
+def test_split_counts_needs_three_values(workspace, tmp_path, capsys, counts):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(f"split_counts = {counts}\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg),
+               "--ontology", str(workspace["gen"] / "ontology.tsv"),
+               "--dataset", str(workspace["gen"] / "dataset.jsonl"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "split_counts" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["gen_visits = 2,3,4", "gen_codes_per_visit = 3",

@@ -205,6 +205,14 @@ def test_generator_deterministic(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("counts", [(3, 1), (2, 1, 1, 0), ()])
+def test_split_dataset_needs_three_counts(counts):
+    ds = data.EhrDataset([data.Patient(f"p{i}", [data.Visit(["a"]), data.Visit(["a"])])
+                          for i in range(4)])
+    with pytest.raises(ValueError, match="split_counts"):
+        data.split_dataset(ds, counts, seed=0)
+
+
 def test_generator_infeasible_spec(tmp_path):
     with pytest.raises(ValueError):
         data.generate_synthetic(small_cfg(codes_per_visit=(2, 100)), seed=0, out_dir=tmp_path)

@@ -2,16 +2,34 @@ import numpy as np
 import pytest
 
 from cgl import ontology as onto
+from problem_fixtures import TINY_EDGES, build_problem
 
 
 def chain_edges(names):
     return [(names[0], None)] + [(c, p) for p, c in zip(names, names[1:])]
 
 
+def walk_ancestor_ids(tree, leaf_id):
+    """Oracle: ancestor identifiers for levels 1..K by walking the parent map."""
+    chain = [leaf_id]
+    while tree.parent[chain[-1]] is not None:
+        chain.append(tree.parent[chain[-1]])
+    return tuple(reversed(chain))
+
+
+def walk_ancestor_ranks(tree):
+    """Oracle for ``tree.ancestors``: one parent walk per leaf, ranked per level."""
+    rank = {name: i for nodes in tree.level_nodes.values() for i, name in enumerate(nodes)}
+    table = np.empty((tree.n_leaves, tree.levels), dtype=np.intp)
+    for i, leaf_id in enumerate(tree.leaf_ids):
+        table[i] = [rank[name] for name in walk_ancestor_ids(tree, leaf_id)]
+    return table
+
+
 def brute_lca_level(tree, i, j):
     """Oracle: intersect ancestor sets, take the deepest shared level."""
-    pa = set(enumerate(onto.ancestor_path(tree, i), start=1))
-    pb = set(enumerate(onto.ancestor_path(tree, j), start=1))
+    pa = set(enumerate(walk_ancestor_ids(tree, tree.leaf_ids[i]), start=1))
+    pb = set(enumerate(walk_ancestor_ids(tree, tree.leaf_ids[j]), start=1))
     shared = pa & pb
     return max((lvl for lvl, _ in shared), default=0)
 
@@ -73,6 +91,26 @@ def test_structural_errors():
         onto.load_ontology([("a", "ghost")])
 
 
+@pytest.mark.parametrize("edges,message", [
+    ([("a", "b"), ("b", "a")], "cycle through node 'a'"),
+    ([("r", None), ("x", "r"), ("a", "y"), ("y", "z"), ("z", "y")], "cycle through node 'y'"),
+    ([("r", None), ("a", "r"), ("a", "r")], "node 'a' has two parents"),
+    ([("r", None), ("a", "ghost")], "node 'a' references unknown parent 'ghost'"),
+])
+def test_structural_error_messages(edges, message):
+    with pytest.raises(onto.OntologyError) as err:
+        onto.load_ontology(edges)
+    assert str(err.value) == message
+
+
+def test_deep_chain_listed_leaf_first_loads():
+    names = [f"n{k}" for k in range(3000)]
+    tree = onto.load_ontology(list(reversed(chain_edges(names))))
+    assert tree.levels == 3000
+    assert tree.leaf_ids == ["n2999"]
+    assert np.array_equal(tree.ancestors, np.zeros((1, 3000), dtype=np.intp))
+
+
 def test_parse_edges_file_format(tmp_path):
     path = tmp_path / "onto.tsv"
     path.write_text("# comment\nr\t-\n\na\tr\n", encoding="utf-8")
@@ -85,10 +123,11 @@ def test_parse_edges_file_format(tmp_path):
 def test_pad_internal_code_chain_length():
     tree = onto.load_ontology(chain_edges(["l1", "l2", "l3", "l4", "l5"]))
     padded = onto.pad_virtual_leaves(tree, {"l3"})
-    virtuals = [n for n, node in padded.nodes.items() if node.virtual]
+    virtuals = set(padded.parent) - set(tree.parent)
     assert sorted(virtuals) == ["l3_v4", "l3_v5"]
-    assert padded.nodes["l3_v4"].parent == "l3"
-    assert padded.nodes["l3_v5"].parent == "l3_v4"
+    assert padded.parent["l3_v4"] == "l3"
+    assert padded.parent["l3_v5"] == "l3_v4"
+    assert padded.level["l3_v4"] == 4 and padded.level["l3_v5"] == 5
     assert padded.leaf_ids[padded.code_leaf["l3"]] == "l3_v5"
 
 
@@ -104,9 +143,15 @@ def test_pad_counts_sum_of_depths():
     # virtual chains of lengths 3 + 2 + 1 = 6
     tree = onto.load_ontology(chain_edges(["l1", "l2", "l3", "l4", "l5"]))
     padded = onto.pad_virtual_leaves(tree, {"l2", "l3", "l4"})
-    virtuals = [n for n, node in padded.nodes.items() if node.virtual]
+    virtuals = set(padded.parent) - set(tree.parent)
     assert len(virtuals) == 6
     assert padded.level_sizes[5] == 1 + 3  # real leaf plus one virtual leaf per code
+
+
+def test_pad_virtual_id_collision_rejected():
+    tree = onto.load_ontology(chain_edges(["l1", "l2", "l3"]) + [("l1_v2", "l1")])
+    with pytest.raises(onto.OntologyError, match="'l1_v2' collides with a real node"):
+        onto.pad_virtual_leaves(tree, {"l1"})
 
 
 def test_pad_unknown_code_rejected():
@@ -175,3 +220,36 @@ def test_every_visit_code_resolves_after_padding():
     assert len(seen) == len(diagnosed)
     for idx in seen:
         assert 0 <= idx < padded.n_leaves
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ancestors_match_parent_walk_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, levels=int(rng.integers(1, 6)), roots=int(rng.integers(1, 4)))
+    assert np.array_equal(tree.ancestors, walk_ancestor_ranks(tree))
+
+
+def test_ancestors_match_parent_walk_on_padded_chains():
+    tree = onto.load_ontology(chain_edges(["l1", "l2", "l3", "l4", "l5"]) + [("z", "l2")])
+    padded = onto.pad_virtual_leaves(tree, {"l1", "l2", "l4", "l5", "z"})
+    assert padded.n_leaves == 5
+    assert np.array_equal(padded.ancestors, walk_ancestor_ranks(padded))
+
+
+@pytest.mark.parametrize("task", ["diagnosis", "heart_failure"])
+def test_ancestors_match_parent_walk_on_problem_fixtures(task):
+    tree = build_problem(task=task).tree
+    assert np.array_equal(tree.ancestors, walk_ancestor_ranks(tree))
+    base = onto.load_ontology(TINY_EDGES)
+    assert np.array_equal(base.ancestors, walk_ancestor_ranks(base))
+
+
+def test_ancestors_skip_a_childless_node_above_level_k():
+    # "m" and "r2" have no children: they are ranked on their levels but are
+    # nobody's ancestor, so the leaves' ranks must step over them
+    edges = [("r1", None), ("r2", None), ("a", "r1"), ("m", "r1"), ("b", "r1"),
+             ("x", "a"), ("y", "b"), ("w", "b")]
+    tree = onto.load_ontology(edges)
+    assert tree.levels == 3 and tree.leaf_ids == ["w", "x", "y"]
+    assert np.array_equal(tree.ancestors, walk_ancestor_ranks(tree))
+    assert tree.ancestors.tolist() == [[0, 1, 0], [0, 0, 1], [0, 1, 2]]

@@ -51,7 +51,7 @@ cgl evaluate --checkpoint "$work/run/checkpoint" \
 
 echo "== predict for a raw history =="
 head -1 "$work/data/dataset.jsonl" \
-    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(json.dumps({"visits": r["visits"][:-1]}))' \
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(json.dumps({"visits": r["visits"][:-1]}, indent=2))' \
     > "$work/history.json"
 cgl predict --checkpoint "$work/run/checkpoint" \
     --history "$work/history.json" --top 5

@@ -10,7 +10,7 @@ in training.
 ``load_checkpoint`` returns a :class:`~cgl.model.FrozenScorer`: it reads only
 the arrays the scorer uses, each at its manifest offset, and checks each
 shape against the config. The graph-side weights, the patient embeddings and
-the batch-norm state stay in the blob, and no graph is rebuilt.
+the batch-norm state stay in the blob, and no graph or hierarchy is rebuilt.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import CollaborativeGraphModel, FrozenScorer, ModelConfig, ModelParams
-from .ontology import OntologyTree, load_ontology
+from .ontology import CodeIndex
 from .text import Vocabulary
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -123,32 +123,40 @@ def _config_from(stored: dict) -> ModelConfig:
     return ModelConfig(**stored)
 
 
-def _rebuild_tree(manifest: dict) -> OntologyTree:
-    """The padded hierarchy, with every code mapped to a leaf index in range."""
-    edges = manifest["ontology_edges"]
+def _code_index(edges: list, code_map: dict) -> CodeIndex:
+    """The code map's index: its leaves are the mapped codes that are no edge's
+    parent, sorted, and each maps to its own rank."""
     for edge in edges:
         if not (isinstance(edge, list) and len(edge) == 2 and isinstance(edge[0], str)
                 and (edge[1] is None or isinstance(edge[1], str))):
             raise ValueError(f"checkpoint key 'ontology_edges' holds {edge!r}, "
                              f"not a [child, parent] pair")
-    tree = load_ontology([(child, parent) for child, parent in edges])
-    for code, ix in manifest["code_map"].items():
-        if type(ix) is not int or not 0 <= ix < tree.n_leaves:
+    parent_of = dict(edges)
+    strangers = code_map.keys() - parent_of.keys()
+    if strangers:
+        raise ValueError(f"checkpoint key 'code_map' maps {min(strangers)!r}, "
+                         f"which is no node of 'ontology_edges'")
+    parents = set(parent_of.values())
+    leaf_ids = sorted(code for code in code_map if code not in parents)
+    for code, ix in code_map.items():
+        if type(ix) is not int or not 0 <= ix < len(leaf_ids):
             raise ValueError(f"checkpoint key 'code_map' maps {code!r} to {ix!r}, "
-                             f"not a leaf index in [0, {tree.n_leaves})")
-    tree.code_leaf.update(manifest["code_map"])
-    return tree
+                             f"not a leaf index in [0, {len(leaf_ids)})")
+        if code not in parents and leaf_ids[ix] != code:
+            raise ValueError(f"checkpoint key 'code_map' maps the leaf {code!r} to {ix}, "
+                             f"not to its rank {leaf_ids.index(code)}")
+    return CodeIndex(leaf_ids, code_map)
 
 
 def load_checkpoint(in_dir) -> SimpleNamespace:
-    """Load the frozen scorer with the hierarchy and vocabulary it needs."""
+    """Load the frozen scorer with the code index and vocabulary it needs."""
     in_dir = Path(in_dir)
     with open(in_dir / MANIFEST_NAME, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("format") != FORMAT:
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     config = _config_from(manifest["config"])
-    tree = _rebuild_tree(manifest)
+    tree = _code_index(manifest["ontology_edges"], manifest["code_map"])
     vocab_entries = manifest["vocab"]["entries"]
     vocab = Vocabulary(
         word_index={w: int(ix) for w, ix, _ in vocab_entries},
@@ -161,6 +169,6 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
     model = FrozenScorer(config, ModelParams(arrays), frozen)
 
     return SimpleNamespace(
-        model=model, tree=tree, vocab=vocab, task=manifest["task"],
-        hf_prefix=manifest["hf_prefix"], metric_ks=tuple(manifest["metric_ks"]),
-        split=manifest["split"])
+        model=model, tree=tree, edges=manifest["ontology_edges"], vocab=vocab,
+        task=manifest["task"], hf_prefix=manifest["hf_prefix"],
+        metric_ks=tuple(manifest["metric_ks"]), split=manifest["split"])

@@ -289,10 +289,10 @@ def cmd_evaluate(args) -> int:
 
 def _load_history_file(path) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        content = fh.read().strip()
-    if not content:
-        raise ValueError(f"patient history file {path} is empty")
-    obj = json.loads(content.splitlines()[0])
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"patient history file {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         return obj
     if "visits" not in obj:
@@ -340,12 +340,15 @@ def cmd_export(args) -> int:
     what = opts.require("what")
     if what == "code-embeddings":
         h = bundle.model.frozen_code_repr
-        levels = min(3, bundle.tree.levels)
+        tree = load_ontology([tuple(edge) for edge in bundle.edges])
+        if tree.leaf_ids != bundle.tree.leaf_ids:
+            raise ValueError("checkpoint key 'ontology_edges' has other leaves than 'code_map'")
+        levels = min(3, tree.levels)
         header = (["code"] + [f"level{k}" for k in range(1, levels + 1)]
                   + [f"e{j}" for j in range(h.shape[1])])
         rows = []
-        for i, code in enumerate(bundle.tree.leaf_ids):
-            path = ancestor_path(bundle.tree, i)
+        for i, code in enumerate(tree.leaf_ids):
+            path = ancestor_path(tree, i)
             rows.append([code, *path[:levels], *(float(v) for v in h[i])])
         write_csv(out_dir / "code_embeddings.csv", header, rows)
         print(f"wrote {out_dir / 'code_embeddings.csv'} ({len(rows)} codes)")

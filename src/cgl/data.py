@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ontology import OntologyTree, load_ontology, save_ontology
+from .ontology import CodeIndex, DataError, load_ontology, save_ontology
 
 __all__ = [
     "DataError",
@@ -38,10 +38,6 @@ __all__ = [
     "GeneratorConfig",
     "generate_synthetic",
 ]
-
-
-class DataError(ValueError):
-    """Malformed or inconsistent dataset content."""
 
 
 @dataclass
@@ -112,12 +108,12 @@ def _parse_patient(obj, where: str) -> Patient:
     return Patient(str(obj["patient"]), visits)
 
 
-def load_dataset(path, tree: OntologyTree | None = None, min_visits: int = 2) -> EhrDataset:
+def load_dataset(path, tree: CodeIndex | None = None, min_visits: int = 2) -> EhrDataset:
     """Load and validate a JSON-lines dataset.
 
     Visits without codes are dropped; patients left with fewer than
     ``min_visits`` visits are rejected and counted in the report. With a
-    padded tree supplied, every code must resolve to a leaf.
+    code index supplied, every code must resolve to a leaf.
     """
     report = LoadReport()
     patients: list[Patient] = []
@@ -139,10 +135,7 @@ def load_dataset(path, tree: OntologyTree | None = None, min_visits: int = 2) ->
                 continue
             if tree is not None:
                 for visit in patient.visits:
-                    for code in visit.codes:
-                        if code not in tree.code_leaf:
-                            raise DataError(
-                                f"line {lineno}: unknown code {code!r} (patient {patient.pid})")
+                    tree.resolve(visit.codes, patient.pid, f"line {lineno}: ")
             patients.append(patient)
     report.patients = len(patients)
     return EhrDataset(patients, report)
@@ -178,7 +171,7 @@ class LabelSet:
         return np.array([float(self.hf[pid])])
 
 
-def make_labels(dataset: EhrDataset, task: str, tree: OntologyTree,
+def make_labels(dataset: EhrDataset, task: str, tree: CodeIndex,
                 hf_prefix: str | None = None) -> LabelSet:
     """Labels from each patient's last visit only."""
     if task not in ("diagnosis", "heart_failure"):
@@ -189,7 +182,7 @@ def make_labels(dataset: EhrDataset, task: str, tree: OntologyTree,
     hf: dict[str, int] = {}
     for p in dataset.patients:
         last = p.label_visit
-        positives[p.pid] = sorted({tree.leaf_for(c) for c in last.codes})
+        positives[p.pid] = sorted(set(tree.resolve(last.codes, p.pid)))
         if hf_prefix:
             hf[p.pid] = int(any(c.startswith(hf_prefix) for c in last.codes))
     return LabelSet(task, tree.n_leaves, positives, hf, hf_prefix)
@@ -404,7 +397,7 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int, out_dir) -> dict:
         any(c.startswith(hf_prefix) for c in p.label_visit.codes) for p in patients
     ]))
     mi_values = []
-    label_sets = [{tree.leaf_for(c) for c in p.label_visit.codes} for p in patients]
+    label_sets = [set(tree.resolve(p.label_visit.codes, p.pid)) for p in patients]
     for c in rng.choice(n_leaves, size=min(40, n_leaves), replace=False):
         present = np.array([int(c in s) for s in label_sets])
         mi_values.append(_plugin_mi(primary, present))

@@ -15,7 +15,7 @@ from .data import EhrDataset, _parse_patient, make_labels, patient_document, spl
 from .graphs import build_cooccurrence, build_observation, build_ontology_adjacency
 from .model import (CollaborativeGraphModel, ModelConfig, PatientExample, build_example,
                     fit, prepare_examples)
-from .ontology import OntologyTree, pad_virtual_leaves
+from .ontology import CodeIndex, OntologyTree, pad_virtual_leaves
 from .text import Vocabulary, fit_vocabulary
 
 __all__ = ["TrainSettings", "derive_seeds", "assemble", "train", "history_to_example"]
@@ -72,7 +72,7 @@ def train(problem: SimpleNamespace, epochs: int | None = None,
     return model, history
 
 
-def history_to_example(visits: list[dict], tree: OntologyTree, vocab: Vocabulary,
+def history_to_example(visits: list[dict], tree: CodeIndex, vocab: Vocabulary,
                        n_outputs: int) -> PatientExample:
     """Turn a raw visit history (codes + notes) into a model input.
 
@@ -81,4 +81,4 @@ def history_to_example(visits: list[dict], tree: OntologyTree, vocab: Vocabulary
     """
     patient = _parse_patient({"patient": "history", "visits": visits}, "patient history")
     return build_example(patient.pid, [v for v in patient.visits if v.codes],
-                         np.zeros(n_outputs), [], tree, vocab)
+                         np.zeros(n_outputs), tree, vocab)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .ontology import OntologyTree
+from .ontology import CodeIndex, OntologyTree
 
 __all__ = [
     "ObservationGraph",
@@ -49,19 +49,6 @@ class OntologyAdjacency:
     adjacency: sparse.csr_matrix
 
 
-def _feature_visit_codes(patient, tree: OntologyTree):
-    for visit in patient.visits[:-1]:
-        idx = []
-        for code in visit.codes:
-            try:
-                idx.append(tree.leaf_for(code))
-            except KeyError:
-                raise ValueError(
-                    f"code {code!r} (patient {patient.pid}) is missing from the leaf index"
-                ) from None
-        yield idx
-
-
 def _incidence(groups, n_codes: int) -> sparse.csr_matrix:
     """Binary (len(groups), n_codes) CSR matrix: row r marks the codes of group r."""
     rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
@@ -71,15 +58,15 @@ def _incidence(groups, n_codes: int) -> sparse.csr_matrix:
     return x
 
 
-def build_observation(dataset, tree: OntologyTree) -> ObservationGraph:
+def build_observation(dataset, tree: CodeIndex) -> ObservationGraph:
     """1 at (u, i) iff training patient u carries code i in a feature visit."""
     patients = dataset.split_patients("train")
-    groups = [[i for codes in _feature_visit_codes(p, tree) for i in codes] for p in patients]
+    groups = [[i for v in p.feature_visits for i in tree.resolve(v.codes, p.pid)] for p in patients]
     index = {p.pid: row for row, p in enumerate(patients)}
     return ObservationGraph(_incidence(groups, tree.n_leaves), index)
 
 
-def build_cooccurrence(dataset, tree: OntologyTree, scope: str = "visit") -> sparse.csr_matrix:
+def build_cooccurrence(dataset, tree: CodeIndex, scope: str = "visit") -> sparse.csr_matrix:
     """Symmetric binary co-occurrence over training feature visits, as CSR.
 
     The binarised X^T X of the visit (or patient) incidence X with its
@@ -90,7 +77,7 @@ def build_cooccurrence(dataset, tree: OntologyTree, scope: str = "visit") -> spa
         raise ValueError(f"unknown co-occurrence scope {scope!r}")
     groups = []
     for patient in dataset.split_patients("train"):
-        visits = list(_feature_visit_codes(patient, tree))
+        visits = [tree.resolve(v.codes, patient.pid) for v in patient.feature_visits]
         groups.extend([[i for codes in visits for i in codes]] if scope == "patient" else visits)
     x = _incidence(groups, tree.n_leaves)
     pairs = (x.T @ x).tocoo()

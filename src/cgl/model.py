@@ -38,7 +38,7 @@ from scipy import sparse
 from . import autodiff as ad
 from .data import EhrDataset, LabelSet, Visit
 from .graphs import ObservationGraph, OntologyAdjacency
-from .ontology import OntologyTree
+from .ontology import CodeIndex, OntologyTree
 from .text import MAX_NOTE_TOKENS, Vocabulary, tfidf_beta
 from . import metrics as metrics_mod
 
@@ -151,18 +151,17 @@ class PatientExample:
     note_tokens: np.ndarray  # word indices of the latest feature visit's note
     beta: np.ndarray  # TF-IDF attention targets aligned with note_tokens
     label_vec: np.ndarray  # (n_codes,) for diagnosis, (1,) for the binary task
-    positives: np.ndarray  # positive leaf indices (diagnosis task)
     occurred: np.ndarray  # codes seen in any feature visit, (n_codes,)
 
 
-def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray, positives,
-                  tree: OntologyTree, vocab: Vocabulary) -> PatientExample:
+def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray,
+                  tree: CodeIndex, vocab: Vocabulary) -> PatientExample:
     """Resolve one patient's feature visits to dense indices.
 
     The last visit supplies the note. Tokens outside the vocabulary are
     dropped (they have no embedding row); the TF-IDF targets are computed on
     the same filtered sequence so the penalty stays aligned with the
-    attention weights. A code outside the tree is a ``ValueError`` naming
+    attention weights. A code outside the index is a ``DataError`` naming
     the code and the patient.
     """
     if not visits:
@@ -170,10 +169,7 @@ def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray, positive
     visit_codes = []
     occurred = np.zeros(tree.n_leaves, dtype=np.float64)
     for v in visits:
-        try:
-            idx = np.array(sorted({tree.code_leaf[c] for c in v.codes}), dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"unknown code {exc.args[0]!r} (patient {pid})") from None
+        idx = np.array(sorted(set(tree.resolve(v.codes, pid))), dtype=np.intp)
         if idx.size == 0:
             raise ValueError(f"patient {pid} has an empty visit")
         occurred[idx] = 1.0
@@ -185,17 +181,16 @@ def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray, positive
         note_tokens=np.array([vocab.word_index[w] for w in note], dtype=np.intp),
         beta=tfidf_beta(note, vocab),
         label_vec=label_vec,
-        positives=np.array(positives, dtype=np.intp),
         occurred=occurred,
     )
 
 
-def prepare_examples(dataset: EhrDataset, split: str | None, tree: OntologyTree,
+def prepare_examples(dataset: EhrDataset, split: str | None, tree: CodeIndex,
                      vocab: Vocabulary, labels: LabelSet) -> list[PatientExample]:
     """One example per patient of a split (every patient for ``split=None``)."""
     patients = dataset.patients if split is None else dataset.split_patients(split)
-    return [build_example(p.pid, p.feature_visits, labels.label_vector(p.pid),
-                          labels.positives[p.pid], tree, vocab) for p in patients]
+    return [build_example(p.pid, p.feature_visits, labels.label_vector(p.pid), tree, vocab)
+            for p in patients]
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +488,21 @@ class CollaborativeGraphModel(FrozenScorer):
 
     # -- whole-pass entry points ---------------------------------------------
 
+    def _train_pass(self, examples: list[PatientExample], update_stats: bool):
+        """One train-mode pass on a fresh tape: leaves, loss, cross-entropy, penalty."""
+        leaves = self._leaves(ad.Tape())
+        h_c = self.graph_forward(leaves, mode="train", update_stats=update_stats)
+        return leaves, *self.batch_loss(leaves, h_c, examples)
+
     def training_loss(self, examples: list[PatientExample]) -> tuple[float, float, float]:
         """Train-mode loss without updating anything (probe only)."""
-        tape = ad.Tape()
-        leaves = self._leaves(tape)
-        h_c = self.graph_forward(leaves, mode="train", update_stats=False)
-        loss, ce, pen = self.batch_loss(leaves, h_c, examples)
+        _, loss, ce, pen = self._train_pass(examples, update_stats=False)
         return loss.item(), ce.item(), pen.item()
 
     def loss_program(self, examples: list[PatientExample]):
         """A closure for gradient checking: rebuilds the train-mode loss."""
         def f():
-            tape = ad.Tape()
-            leaves = self._leaves(tape)
-            h_c = self.graph_forward(leaves, mode="train", update_stats=False)
-            loss, _, _ = self.batch_loss(leaves, h_c, examples)
+            leaves, loss, _, _ = self._train_pass(examples, update_stats=False)
             return loss, leaves
         return f
 
@@ -604,16 +599,14 @@ def fit(model: CollaborativeGraphModel, train_examples: list[PatientExample],
         losses = []
         for start in range(0, len(order), batch_size):
             batch = [train_examples[i] for i in order[start:start + batch_size]]
-            tape = ad.Tape()
-            leaves = model._leaves(tape)
-            h_c = model.graph_forward(leaves, mode="train", update_stats=True)
-            loss, _, _ = model.batch_loss(leaves, h_c, batch)
+            leaves, loss, _, _ = model._train_pass(batch, update_stats=True)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDivergenceError(
                     f"non-finite loss {value} at epoch {epoch}")
             loss.backward()
             optimizer.step({name: leaves[name].grad for name in leaves})
+            del leaves  # frees this step's gradients before the next forward pass
             losses.append(value)
         model.freeze_code_embeddings()
         row = {"epoch": epoch, "train_loss": float(np.mean(losses))}

@@ -5,11 +5,11 @@ level K are padded with a chain of virtual descendants so that every code in
 the data resolves to a level-K leaf. Leaves are indexed densely and
 lexicographically by identifier, which keeps indices stable across runs.
 
-A tree is two maps, ``parent`` and ``level``, plus one derived table,
-``ancestors``: row i holds the rank of leaf i's ancestor at each level, the
-rank being the node's position in the sorted ``level_nodes`` of its level.
-Every ancestor query (the hierarchical embedding, LCA levels, paths) reads
-that table.
+A tree is a :class:`CodeIndex` (the leaf order and each code's leaf, all that
+scoring needs) plus two maps, ``parent`` and ``level``, and one derived
+table, ``ancestors``: row i holds the rank of leaf i's ancestor at each level,
+the rank being the node's position in the sorted ``level_nodes`` of its level.
+Every ancestor query (the hierarchical embedding, LCA levels, paths) reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "DataError",
     "OntologyError",
+    "CodeIndex",
     "OntologyTree",
     "parse_edges",
     "load_ontology",
@@ -33,21 +35,49 @@ __all__ = [
 ROOT_MARK = "-"
 
 
+class DataError(ValueError):
+    """Malformed or inconsistent dataset content, such as a code no index knows."""
+
+
 class OntologyError(ValueError):
     """Structurally invalid hierarchy (cycle, missing parent, duplicate edge)."""
 
 
-class OntologyTree:
-    """Validated hierarchy with per-level node lists and a dense leaf index.
+class CodeIndex:
+    """``leaf_ids``: the level-K node ids in rank order. ``code_leaf``: every
+    diagnosable code id (leaf or padded non-leaf) to its leaf's rank."""
 
-    ``parent`` maps every node id to its parent id (``None`` for a root) and
-    ``level`` to its level. ``leaf_index`` maps every level-K node id to an
-    index in [0, n_leaves); ``code_leaf`` maps every diagnosable code id
-    (leaf or padded non-leaf) to its leaf index, and is extended in place by
-    padding and by checkpoint load.
-    """
+    def __init__(self, leaf_ids: list[str], code_leaf: dict[str, int]):
+        self.leaf_ids = leaf_ids
+        self.code_leaf = code_leaf
+        self.n_leaves = len(leaf_ids)
 
-    def __init__(self, parent: dict[str, str | None], level: dict[str, int]):
+    @cached_property
+    def leaf_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.leaf_ids)}
+
+    def resolve(self, codes, pid: str | None, where: str = "") -> list[int]:
+        """The leaf index of each code. An unknown code is a :class:`DataError`
+        naming it and patient ``pid``, prefixed with ``where`` (``"line 3: "``)."""
+        try:
+            return [self.code_leaf[c] for c in codes]
+        except KeyError as exc:
+            patient = "" if pid is None else f" (patient {pid})"
+            raise DataError(f"{where}unknown code {exc.args[0]!r}{patient}") from None
+
+    def leaf_for(self, code: str) -> int:
+        """Dense leaf index of one diagnosable code (after padding)."""
+        return self.resolve((code,), None)[0]
+
+
+class OntologyTree(CodeIndex):
+    """Validated hierarchy with per-level node lists over a code index: ``parent``
+    maps every node id to its parent id (``None`` for a root) and ``level`` to
+    its level. The leaves are the level-K nodes, and ``padded`` maps each
+    diagnosable code above level K to its virtual leaf's id."""
+
+    def __init__(self, parent: dict[str, str | None], level: dict[str, int],
+                 padded: dict[str, str] | None = None):
         self.parent = parent
         self.level = level
         self.levels = max(level.values(), default=0)
@@ -57,20 +87,8 @@ class OntologyTree:
         self.level_nodes = {k: sorted(v) for k, v in by_level.items()}
         self.level_sizes = {k: len(v) for k, v in self.level_nodes.items()}
         leaves = self.level_nodes.get(self.levels, [])
-        self.leaf_index = {name: i for i, name in enumerate(leaves)}
-        self.leaf_ids = leaves
-        self.code_leaf: dict[str, int] = dict(self.leaf_index)
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_ids)
-
-    def leaf_for(self, code: str) -> int:
-        """Dense leaf index of a diagnosable code (after padding)."""
-        try:
-            return self.code_leaf[code]
-        except KeyError:
-            raise KeyError(f"code {code!r} does not resolve to a leaf") from None
+        rank = {name: i for i, name in enumerate(leaves)}
+        super().__init__(leaves, rank | {code: rank[leaf] for code, leaf in (padded or {}).items()})
 
     @cached_property
     def ancestors(self) -> np.ndarray:
@@ -184,10 +202,7 @@ def pad_virtual_leaves(tree: OntologyTree, diagnosed) -> OntologyTree:
             above = name
         code_leaf_name[code] = above
 
-    padded = OntologyTree(parent, level)
-    for code, leaf_name in code_leaf_name.items():
-        padded.code_leaf[code] = padded.leaf_index[leaf_name]
-    return padded
+    return OntologyTree(parent, level, code_leaf_name)
 
 
 def _ancestor_row(tree: OntologyTree, code_index: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgl import checkpoint, model
+from cgl import checkpoint, cli, model, ontology
 from cgl.cli import (_split_examples, build_parser, gather_options, generator_config_from,
                      main, model_config_from, resolve_task)
 from cgl.data import GeneratorConfig, load_dataset, split_dataset
@@ -255,6 +255,35 @@ def test_predict_malformed_history_exits_2(workspace, tmp_path, capsys, record, 
     assert f"'{field}'" in err and "patient history" in err and "Traceback" not in err
 
 
+def test_predict_pretty_printed_history_matches_one_line(workspace, tmp_path, capsys):
+    _, patient = first_split_patient(workspace, "test")
+    record = {"visits": [{"codes": v.codes, "note": v.note} for v in patient.feature_visits]}
+    outputs = []
+    for indent in (None, 2):
+        hist_path = tmp_path / f"history-{indent}.json"
+        hist_path.write_text(json.dumps(record, indent=indent), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["predict", "--checkpoint", str(workspace["run"] / "checkpoint"),
+                   "--history", str(hist_path), "--top", "10"])
+        assert rc == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(hist_path.read_text(encoding="utf-8").splitlines()) > 1
+    assert outputs[1] == outputs[0] and outputs[0].startswith("code,score\n")
+
+
+def test_predict_truncated_history_exits_2(workspace, tmp_path, capsys):
+    _, patient = first_split_patient(workspace, "test")
+    record = {"visits": [{"codes": v.codes, "note": v.note} for v in patient.feature_visits]}
+    hist_path = tmp_path / "truncated.json"
+    hist_path.write_text(json.dumps(record, indent=2)[:-4], encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(workspace["run"] / "checkpoint"),
+               "--history", str(hist_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(hist_path) in err and "not valid JSON" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args,config", [
     (["--top", "-3"], None), (["--top", "0"], None), ([], "top = 0"),
 ], ids=["flag-negative", "flag-zero", "config-zero"])
@@ -284,7 +313,7 @@ def test_history_to_example_matches_prepare_examples(workspace):
     split_dataset(ds, tuple(bundle.split["counts"]), derive_seeds(bundle.split["seed"]).split)
     patients = {p.pid: p for p in ds.split_patients("test")}
     inputs = [f.name for f in fields(model.PatientExample)
-              if f.name not in ("pid", "label_vec", "positives")]
+              if f.name not in ("pid", "label_vec")]
     for want in examples:
         visits = [{"codes": v.codes, "note": v.note} for v in patients[want.pid].feature_visits]
         got = history_to_example(visits, bundle.tree, bundle.vocab, want.label_vec.size)
@@ -351,6 +380,7 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     assert np.array_equal(before, after)
     assert bundle.task == "diagnosis"
     assert bundle.tree.leaf_ids == prob.tree.leaf_ids
+    assert bundle.tree.code_leaf == prob.tree.code_leaf
     assert bundle.vocab == prob.vocab
 
 
@@ -440,6 +470,30 @@ def set_code_map_value(value):
     return edit
 
 
+def leaves_of(manifest):
+    """The checkpoint's leaf ids: its mapped codes that are no edge's parent."""
+    parents = {parent for _, parent in manifest["ontology_edges"]}
+    return sorted(code for code in manifest["code_map"] if code not in parents)
+
+
+def map_leaf_to_next_rank(manifest):
+    first, second = leaves_of(manifest)[:2]
+    manifest["code_map"][first] = manifest["code_map"][second]
+
+
+def map_a_stranger(manifest):
+    manifest["code_map"]["not-in-the-hierarchy"] = 0
+
+
+def drop_first_leaf(manifest):
+    del manifest["code_map"][leaves_of(manifest)[0]]
+
+
+def add_unmapped_leaf(manifest):
+    parent = dict(manifest["ontology_edges"])[leaves_of(manifest)[0]]
+    manifest["ontology_edges"].append(["zz-unmapped-leaf", parent])
+
+
 def set_first_edge(edge):
     def edit(manifest):
         manifest["ontology_edges"][0] = edge
@@ -461,6 +515,9 @@ def set_first_edge(edge):
     (set_code_map_value(99999), "code_map", "code_map-past-end"),
     (set_code_map_value(-1), "code_map", "code_map-negative"),
     (set_code_map_value(1.0), "code_map", "code_map-float"),
+    (map_leaf_to_next_rank, "code_map", "code_map-leaf-to-other-rank"),
+    (map_a_stranger, "code_map", "code_map-key-not-in-edges"),
+    (drop_first_leaf, "code_map", "code_map-missing-leaf"),
     (set_first_edge(["a", "b", "c"]), "ontology_edges", "edge-triple"),
     (set_first_edge("a"), "ontology_edges", "edge-string"),
 ]])
@@ -475,6 +532,40 @@ def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit,
     rc = main(["predict", "--checkpoint", str(ck), "--history", str(hist_path)])
     assert rc == 2
     assert repr(name) in capsys.readouterr().err
+
+
+def test_serving_never_builds_the_hierarchy(workspace, tmp_path, monkeypatch):
+    _, patient = first_split_patient(workspace, "test")
+    hist_path = tmp_path / "history.json"
+    hist_path.write_text(json.dumps(
+        {"visits": [{"codes": v.codes, "note": v.note} for v in patient.feature_visits]}),
+        encoding="utf-8")
+    ck = str(workspace["run"] / "checkpoint")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hierarchy was built")
+
+    for module in (ontology, cli):
+        monkeypatch.setattr(module, "load_ontology", refuse)
+    monkeypatch.setattr(ontology.OntologyTree, "__init__", refuse)
+    assert main(["predict", "--checkpoint", ck, "--history", str(hist_path)]) == 0
+    assert main(["evaluate", "--checkpoint", ck, "--out", str(tmp_path / "eval"),
+                 "--dataset", str(workspace["gen"] / "dataset.jsonl")]) == 0
+    assert main(["export", "--checkpoint", ck, "--what", "attention",
+                 "--history", str(hist_path), "--out", str(tmp_path / "att")]) == 0
+    with pytest.raises(AssertionError, match="hierarchy was built"):
+        main(["export", "--checkpoint", ck, "--what", "code-embeddings",
+              "--out", str(tmp_path / "emb")])
+
+
+def test_export_code_embeddings_leaves_differ_exits_2(workspace, tmp_path, capsys):
+    ck = broken_checkpoint(workspace, tmp_path, add_unmapped_leaf)
+    capsys.readouterr()
+    rc = main(["export", "--checkpoint", str(ck), "--what", "code-embeddings",
+               "--out", str(tmp_path / "emb")])
+    assert rc == 2
+    assert "'ontology_edges'" in capsys.readouterr().err
+    assert not (tmp_path / "emb" / "code_embeddings.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cgl import data
+from cgl import data, graphs, model, text
 from cgl import ontology as onto
 
 
@@ -74,6 +74,29 @@ def test_unknown_code_rejected(tmp_path):
     write_lines(path, [{"patient": "p1", "visits": [{"codes": ["a"]}, {"codes": ["zz"]}]}])
     with pytest.raises(data.DataError, match="zz"):
         data.load_dataset(path, tree=tree)
+
+
+def test_unknown_code_message_comes_from_the_one_resolver(tmp_path):
+    # every path that resolves a record's codes raises the index's message;
+    # the dataset loader only prefixes the line
+    tree = flat_tree(["a"])
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [{"patient": "p1", "visits": [{"codes": ["a"]}, {"codes": ["zz"]}]}])
+    with pytest.raises(data.DataError) as err:
+        data.load_dataset(path, tree=tree)
+    assert str(err.value) == "line 1: unknown code 'zz' (patient p1)"
+
+    ds = data.EhrDataset([data.Patient("p1", [data.Visit(["zz"]), data.Visit(["zz"])],
+                                       split="train")])
+    vocab = text.fit_vocabulary([[]])
+    for call in (lambda: data.make_labels(ds, "diagnosis", tree),
+                 lambda: graphs.build_observation(ds, tree),
+                 lambda: graphs.build_cooccurrence(ds, tree),
+                 lambda: model.build_example("p1", ds.patients[0].visits, np.zeros(1),
+                                             tree, vocab)):
+        with pytest.raises(data.DataError) as err:
+            call()
+        assert str(err.value) == "unknown code 'zz' (patient p1)"
 
 
 def test_save_load_roundtrip_bit_identical(tmp_path):

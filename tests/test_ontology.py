@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from cgl import checkpoint, data
 from cgl import ontology as onto
-from problem_fixtures import TINY_EDGES, build_problem
+from problem_fixtures import TINY_EDGES, build_problem, tiny_dataset
 
 
 def chain_edges(names):
@@ -253,3 +256,63 @@ def test_ancestors_skip_a_childless_node_above_level_k():
     assert tree.levels == 3 and tree.leaf_ids == ["w", "x", "y"]
     assert np.array_equal(tree.ancestors, walk_ancestor_ranks(tree))
     assert tree.ancestors.tolist() == [[0, 1, 0], [0, 0, 1], [0, 1, 2]]
+
+
+def manifest_index(tree):
+    """The code index a checkpoint load reads back for ``tree``: its edges and
+    code map as a checkpoint manifest stores them, through JSON."""
+    stored = json.loads(json.dumps({
+        "ontology_edges": [[name, tree.parent[name]] for name in sorted(tree.parent)],
+        "code_map": dict(tree.code_leaf)}))
+    return checkpoint._code_index(stored["ontology_edges"], stored["code_map"])
+
+
+def assert_same_index(index, tree):
+    assert type(index) is onto.CodeIndex
+    assert index.leaf_ids == tree.leaf_ids
+    assert index.code_leaf == tree.code_leaf
+    assert index.leaf_index == tree.leaf_index and index.n_leaves == tree.n_leaves
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_manifest_index_matches_tree_on_random_padded_trees(seed):
+    rng = np.random.default_rng(seed)
+    base = random_tree(rng, levels=int(rng.integers(3, 6)), roots=int(rng.integers(1, 4)))
+    # childless nodes above level K, under random inner nodes: they are no
+    # edge's parent yet no leaf, and only diagnosed ones are padded to level K
+    edges = [(name, base.parent[name]) for name in base.parent]
+    inner = [name for name in base.parent if base.level[name] < base.levels - 1]
+    childless = [f"{name}.x" for name in rng.permutation(inner)[:base.levels]]
+    edges += [(name, name.removesuffix(".x")) for name in childless]
+    tree = onto.load_ontology(edges)
+    nodes = sorted(tree.parent)
+    diagnosed = {nodes[i] for i in rng.choice(len(nodes), size=len(nodes) // 3, replace=False)}
+    diagnosed.add(childless[0])
+    padded = onto.pad_virtual_leaves(tree, diagnosed)
+    assert any(name not in padded.code_leaf for name in childless[1:])
+    assert_same_index(manifest_index(padded), padded)
+
+
+def test_manifest_index_matches_tree_on_padded_chains():
+    tree = onto.load_ontology(chain_edges(["l1", "l2", "l3", "l4", "l5"]) + [("z", "l2")])
+    padded = onto.pad_virtual_leaves(tree, {"l1", "l2", "l4", "l5", "z"})
+    assert_same_index(manifest_index(padded), padded)
+
+
+@pytest.mark.parametrize("internal", [False, True], ids=["leaves", "internal-codes"])
+def test_manifest_index_matches_tree_on_problem_fixtures(internal):
+    dataset = tiny_dataset()
+    if internal:  # diagnose a level-2 and a root code, which padding extends
+        dataset.patients[0].visits[0].codes.append("d0.a")
+        dataset.patients[2].visits[1].codes.append("d1")
+    tree = build_problem(dataset=dataset).tree
+    assert ("d0.a" in tree.code_leaf) == internal
+    assert_same_index(manifest_index(tree), tree)
+
+
+def test_code_index_resolver():
+    index = onto.CodeIndex(["a", "b"], {"a": 0, "b": 1, "up": 1})
+    assert index.resolve(["b", "up", "a"], "p1") == [1, 1, 0]
+    assert index.leaf_for("up") == 1
+    with pytest.raises(data.DataError, match=r"^line 4: unknown code 'zz' \(patient p1\)$"):
+        index.resolve(["a", "zz"], "p1", "line 4: ")

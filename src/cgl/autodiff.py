@@ -7,6 +7,13 @@ and backward releases the recorded entries, so each intermediate gradient is
 freed once it has been propagated. Ops compute no gradient for an untracked
 operand.
 
+An entry is ``(output id, input ids, backward)``. ``backward`` is a
+module-level function bound by ``functools.partial`` to what the gradient
+needs, never a closure built per call: a closure adds a function object and
+its cells to every entry, and a training step records thousands of entries,
+so those objects kept the cyclic garbage collector busy for a large share of
+the run.
+
 Two ops defer their gradient instead of forming it densely: ``matmul`` for its
 right operand (kept as the left operand's rows and the output gradient's rows)
 and ``gather_rows`` on a 2-d table (kept as the indices and the gradient rows).
@@ -23,8 +30,9 @@ raises :class:`DimensionError` instead of silently broadcasting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 from scipy import sparse
@@ -53,10 +61,15 @@ __all__ = [
     "concat",
     "reshape",
     "gather_rows",
+    "group_mean",
     "batchnorm",
     "check_gradients",
     "GradientCheckReport",
 ]
+
+
+_FLOAT64 = np.dtype(np.float64)
+_node_id = attrgetter("node_id")
 
 
 class DimensionError(ValueError):
@@ -83,7 +96,9 @@ class Tensor:
     __slots__ = ("values", "grad", "tape", "node_id")
 
     def __init__(self, values, tape: "Tape | None" = None, node_id: int | None = None):
-        self.values = np.asarray(values, dtype=np.float64)
+        if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
+            values = np.asarray(values, dtype=np.float64)
+        self.values = values
         self.grad: np.ndarray | None = None
         self.tape = tape
         self.node_id = node_id
@@ -169,15 +184,12 @@ class Tape:
         self._count = 0
         self._spent = False
 
-    def _fresh_id(self) -> int:
-        self._count += 1
-        return self._count - 1
-
     def leaf(self, values) -> Tensor:
         """Register a tracked input; its grad is populated by backward()."""
         if self._spent:
             raise TapeError("tape already consumed by backward()")
-        t = Tensor(values, self, self._fresh_id())
+        t = Tensor(values, self, self._count)
+        self._count += 1
         self._leaves.append(t)
         return t
 
@@ -187,8 +199,9 @@ class Tape:
         gradient may be a deferred contribution instead of an array."""
         if self._spent:
             raise TapeError("tape already consumed by backward()")
-        out = Tensor(values, self, self._fresh_id())
-        self._entries.append((out.node_id, tuple(t.node_id for t in inputs), backward))
+        out = Tensor(values, self, self._count)
+        self._count += 1
+        self._entries.append((out.node_id, tuple(map(_node_id, inputs)), backward))
         return out
 
     def backward(self, loss: Tensor) -> None:
@@ -203,14 +216,20 @@ class Tape:
         grads: dict[int, np.ndarray] = {loss.node_id: seed}
         deferred: dict[int, list[_Deferred]] = {}
         for out_id, in_ids, backward_fn in reversed(self._entries):
-            g = _settle(grads.pop(out_id, None), deferred.pop(out_id, None))
+            g = grads.pop(out_id, None)
+            if out_id in deferred:
+                g = _settle(g, deferred.pop(out_id))
             if g is None:  # branch that never reached the loss
                 continue
             for in_id, gi in zip(in_ids, backward_fn(g)):
-                if in_id is None or gi is None:
+                if gi is None or in_id is None:
                     continue
-                if isinstance(gi, _Deferred):
-                    deferred.setdefault(in_id, []).append(gi)
+                if type(gi) is _Deferred:
+                    parts = deferred.get(in_id)
+                    if parts is None:
+                        deferred[in_id] = [gi]
+                    else:
+                        parts.append(gi)
                     continue
                 have = grads.get(in_id)
                 grads[in_id] = gi if have is None else have + gi
@@ -225,33 +244,33 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# op plumbing
+# op plumbing: each op records its ``_*_backward`` function through ``_emit``
 
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tape_of(*tensors: Tensor) -> Tape | None:
-    tape = None
-    for t in tensors:
-        if t.tape is None:
-            continue
-        if tape is None:
+def _tape_of(a: Tensor, *rest: Tensor) -> Tape | None:
+    """The tape the operands share; None when none of them is tracked."""
+    tape = a.tape
+    for t in rest:
+        if t.tape is not None and t.tape is not tape:
+            if tape is not None:
+                raise TapeError("operands were recorded on different tapes")
             tape = t.tape
-        elif tape is not t.tape:
-            raise TapeError("operands were recorded on different tapes")
     return tape
 
 
-def _emit(tape: Tape | None, values, inputs, backward) -> Tensor:
+def _emit(tape: Tape | None, values, inputs, backward, *saved) -> Tensor:
+    """The op's output; on a tape, recorded with ``backward`` bound to ``saved``."""
     if tape is None:
         return Tensor(values)
-    return tape.record(values, inputs, backward)
+    return tape.record(values, inputs, partial(backward, *saved))
 
 
 def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
-    return len(shape) <= 1 and math.prod(shape) == 1
+    return shape == () or shape == (1,)
 
 
 def _broadcast_ok(sa: tuple[int, ...], sb: tuple[int, ...]) -> bool:
@@ -275,18 +294,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=tuple(range(extra)))
 
 
-def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
+def _binary(ufunc, a, b) -> Tensor:
+    """``ufunc`` (add, subtract or multiply) under the restricted broadcast."""
     a, b = _lift(a), _lift(b)
-    if not _broadcast_ok(a.shape, b.shape):
-        raise DimensionError(f"cannot broadcast shapes {a.shape} and {b.shape}")
     av, bv = a.values, b.values
-    need_a, need_b = a.tracked, b.tracked
+    if av.shape != bv.shape and not _broadcast_ok(av.shape, bv.shape):
+        raise DimensionError(f"cannot broadcast shapes {av.shape} and {bv.shape}")
+    return _emit(_tape_of(a, b), ufunc(av, bv), (a, b), _binary_backward,
+                 ufunc, av, bv, a.tracked, b.tracked)
 
-    def backward(g):
-        return (_unbroadcast(grad_a(g, av, bv), av.shape) if need_a else None,
-                _unbroadcast(grad_b(g, av, bv), bv.shape) if need_b else None)
 
-    return _emit(_tape_of(a, b), forward(av, bv), (a, b), backward)
+def _binary_backward(ufunc, av, bv, need_a, need_b, g):
+    ga = gb = None
+    if need_a:
+        ga = _unbroadcast(g * bv if ufunc is np.multiply else g, av.shape)
+    if need_b:
+        if ufunc is np.multiply:
+            gb = g * av
+        else:
+            gb = -g if ufunc is np.subtract else g
+        gb = _unbroadcast(gb, bv.shape)
+    return ga, gb
 
 
 # ---------------------------------------------------------------------------
@@ -294,58 +322,58 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(np.add, a, b)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(np.subtract, a, b)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(np.multiply, a, b)
 
 
 def sigmoid(x) -> Tensor:
     x = _lift(x)
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-x.values))
+    return _emit(x.tape, y, (x,), _sigmoid_backward, y)
 
-    def backward(g):
-        return (g * y * (1.0 - y),)
 
-    return _emit(_tape_of(x), y, (x,), backward)
+def _sigmoid_backward(y, g):
+    return (g * y * (1.0 - y),)
 
 
 def tanh(x) -> Tensor:
     x = _lift(x)
     y = np.tanh(x.values)
+    return _emit(x.tape, y, (x,), _tanh_backward, y)
 
-    def backward(g):
-        return (g * (1.0 - y * y),)
 
-    return _emit(_tape_of(x), y, (x,), backward)
+def _tanh_backward(y, g):
+    return (g * (1.0 - y * y),)
 
 
 def relu(x) -> Tensor:
     x = _lift(x)
     mask = x.values > 0.0
+    return _emit(x.tape, np.where(mask, x.values, 0.0), (x,), _mask_backward, mask)
 
-    def backward(g):
-        return (g * mask,)
 
-    return _emit(_tape_of(x), np.where(mask, x.values, 0.0), (x,), backward)
+def _mask_backward(mask, g):
+    return (g * mask,)
 
 
 def log(x) -> Tensor:
     x = _lift(x)
-    if x.values.size and np.min(x.values) <= 0.0:
-        raise NumericDomainError("log of a non-positive value; clamp first")
     xv = x.values
+    if xv.size and np.min(xv) <= 0.0:
+        raise NumericDomainError("log of a non-positive value; clamp first")
+    return _emit(x.tape, np.log(xv), (x,), _log_backward, xv)
 
-    def backward(g):
-        return (g / xv,)
 
-    return _emit(_tape_of(x), np.log(xv), (x,), backward)
+def _log_backward(xv, g):
+    return (g / xv,)
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
@@ -353,11 +381,7 @@ def clamp(x, lo: float, hi: float) -> Tensor:
         raise ValueError(f"clamp bounds out of order: {lo} > {hi}")
     x = _lift(x)
     mask = (x.values >= lo) & (x.values <= hi)
-
-    def backward(g):
-        return (g * mask,)
-
-    return _emit(_tape_of(x), np.clip(x.values, lo, hi), (x,), backward)
+    return _emit(x.tape, np.clip(x.values, lo, hi), (x,), _mask_backward, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +399,20 @@ def matmul(a, b) -> Tensor:
     b2 = bv if bv.ndim == 2 else bv[:, None]
     if a2.shape[1] != b2.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
-    out2 = a2 @ b2
-    out = out2
+    out = a2 @ b2
     if av.ndim == 1:
         out = out[0]
     if bv.ndim == 1:
         out = out[..., 0]
-    need_a, need_b = a.tracked, b.tracked
+    return _emit(_tape_of(a, b), out, (a, b), _matmul_backward,
+                 av, bv, a2, b2, a.tracked, b.tracked)
 
-    def backward(g):
-        g2 = g.reshape(out2.shape)
-        ga = (g2 @ b2.T).reshape(av.shape) if need_a else None
-        gb = _Deferred(False, bv.shape, a2, g2) if need_b else None
-        return ga, gb
 
-    return _emit(_tape_of(a, b), out, (a, b), backward)
+def _matmul_backward(av, bv, a2, b2, need_a, need_b, g):
+    g2 = g.reshape(a2.shape[0], b2.shape[1])
+    ga = (g2 @ b2.T).reshape(av.shape) if need_a else None
+    gb = _Deferred(False, bv.shape, a2, g2) if need_b else None
+    return ga, gb
 
 
 def spmm(pattern, values, x) -> Tensor:
@@ -408,18 +431,18 @@ def spmm(pattern, values, x) -> Tensor:
     if xv.ndim != 2 or xv.shape[0] != pattern.shape[1]:
         raise DimensionError(f"spmm operand {xv.shape} does not fit a {pattern.shape} matrix")
     a = sparse.csr_matrix((vv, pattern.indices, pattern.indptr), shape=pattern.shape)
-    need_v, need_x = values.tracked, x.tracked
+    return _emit(_tape_of(values, x), a @ xv, (values, x), _spmm_backward,
+                 a, xv, values.tracked, x.tracked)
 
-    def backward(g):
-        gv = gx = None
-        if need_v:
-            rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-            gv = np.einsum("ij,ij->i", g[rows], xv[pattern.indices])
-        if need_x:
-            gx = a.T @ g
-        return gv, gx
 
-    return _emit(_tape_of(values, x), a @ xv, (values, x), backward)
+def _spmm_backward(a, xv, need_v, need_x, g):
+    gv = gx = None
+    if need_v:
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        gv = np.einsum("ij,ij->i", g[rows], xv[a.indices])
+    if need_x:
+        gx = a.T @ g
+    return gv, gx
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -435,12 +458,12 @@ def softmax(x, axis: int = -1) -> Tensor:
     shifted = xv - xv.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=ax, keepdims=True)
+    return _emit(x.tape, y, (x,), _softmax_backward, y, ax)
 
-    def backward(g):
-        s = (g * y).sum(axis=ax, keepdims=True)
-        return (y * (g - s),)
 
-    return _emit(_tape_of(x), y, (x,), backward)
+def _softmax_backward(y, ax, g):
+    s = (g * y).sum(axis=ax, keepdims=True)
+    return (y * (g - s),)
 
 
 def _check_axis(xv: np.ndarray, axis: int | None) -> int | None:
@@ -456,13 +479,7 @@ def reduce_sum(x, axis: int | None = None) -> Tensor:
     x = _lift(x)
     xv = x.values
     ax = _check_axis(xv, axis)
-
-    def backward(g):
-        if ax is None:
-            return (np.broadcast_to(g, xv.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, ax), xv.shape).copy(),)
-
-    return _emit(_tape_of(x), xv.sum(axis=ax), (x,), backward)
+    return _emit(x.tape, xv.sum(axis=ax), (x,), _spread_backward, xv, ax, 1)
 
 
 def reduce_mean(x, axis: int | None = None) -> Tensor:
@@ -472,13 +489,16 @@ def reduce_mean(x, axis: int | None = None) -> Tensor:
     n = xv.size if ax is None else xv.shape[ax]
     if n == 0:
         raise ValueError("mean over a zero-length axis")
+    return _emit(x.tape, xv.mean(axis=ax), (x,), _spread_backward, xv, ax, n)
 
-    def backward(g):
-        if ax is None:
-            return (np.broadcast_to(g / n, xv.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g / n, ax), xv.shape).copy(),)
 
-    return _emit(_tape_of(x), xv.mean(axis=ax), (x,), backward)
+def _spread_backward(xv, ax, n, g):
+    """A reduction's gradient: ``g / n`` copied over the reduced axis."""
+    if n != 1:
+        g = g / n
+    if ax is not None:
+        g = np.expand_dims(g, ax)
+    return (np.broadcast_to(g, xv.shape).copy(),)
 
 
 def concat(a, b, axis: int = 0) -> Tensor:
@@ -492,23 +512,34 @@ def concat(a, b, axis: int = 0) -> Tensor:
     for d in range(av.ndim):
         if d != ax and av.shape[d] != bv.shape[d]:
             raise DimensionError(f"concat off-axis extents differ: {av.shape} vs {bv.shape}")
-    boundary = av.shape[ax]
+    return _emit(_tape_of(a, b), np.concatenate([av, bv], axis=ax), (a, b), _concat_backward,
+                 av.shape[ax], ax)
 
-    def backward(g):
-        ga, gb = np.split(g, [boundary], axis=ax)
-        return ga, gb
 
-    return _emit(_tape_of(a, b), np.concatenate([av, bv], axis=ax), (a, b), backward)
+def _concat_backward(boundary, ax, g):
+    return tuple(np.split(g, [boundary], axis=ax))
 
 
 def reshape(x, shape) -> Tensor:
     x = _lift(x)
     xv = x.values
+    return _emit(x.tape, xv.reshape(shape), (x,), _reshape_backward, xv)
 
-    def backward(g):
-        return (g.reshape(xv.shape),)
 
-    return _emit(_tape_of(x), xv.reshape(shape), (x,), backward)
+def _reshape_backward(xv, g):
+    return (g.reshape(xv.shape),)
+
+
+def _row_indices(op: str, indices, n: int) -> np.ndarray:
+    """``indices`` as a flat intp array of row numbers below ``n``."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise DimensionError(f"{op} indices must be a flat sequence")
+    if idx.size:
+        bad = idx[(idx < 0) | (idx >= n)]
+        if bad.size:
+            raise IndexError(f"row index {int(bad[0])} out of range for table with {n} rows")
+    return idx
 
 
 def gather_rows(table, indices) -> Tensor:
@@ -519,21 +550,49 @@ def gather_rows(table, indices) -> Tensor:
     tv = table.values
     if tv.ndim not in (1, 2):
         raise DimensionError(f"gather_rows needs a 1-d or 2-d table, got shape {tv.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError("gather_rows indices must be a flat sequence")
-    n = tv.shape[0]
-    if idx.size:
-        bad = idx[(idx < 0) | (idx >= n)]
-        if bad.size:
-            raise IndexError(f"row index {int(bad[0])} out of range for table with {n} rows")
+    idx = _row_indices("gather_rows", indices, tv.shape[0])
+    return _emit(table.tape, tv[idx], (table,), _gather_backward, tv, idx)
 
-    def backward(g):
-        if tv.ndim == 1:
-            return (np.bincount(idx, weights=g, minlength=n),)
-        return (_Deferred(True, tv.shape, idx, g),)
 
-    return _emit(_tape_of(table), tv[idx], (table,), backward)
+def _gather_backward(tv, idx, g):
+    if tv.ndim == 1:
+        return (np.bincount(idx, weights=g, minlength=tv.shape[0]),)
+    return (_Deferred(True, tv.shape, idx, g),)
+
+
+def group_mean(table, groups) -> Tensor:
+    """Row ``i`` is the mean of the rows of the 2-d ``table`` that
+    ``groups[i]`` lists: one op for what ``reduce_mean(gather_rows(table,
+    group), axis=0)`` computes for each group, with the same bits.
+
+    The forward is one CSR row sum, in each group's index order, divided by
+    the group's size. The gradient is one deferred scatter into ``table``
+    with the later groups first: the order in which per-group gathers,
+    recorded in group order, would reach the tape, so it sums as they did.
+    """
+    table = _lift(table)
+    tv = table.values
+    if tv.ndim != 2:
+        raise DimensionError(f"group_mean needs a 2-d table, got shape {tv.shape}")
+    if not len(groups):
+        raise ValueError("group_mean needs at least one group")
+    idx = _row_indices("group_mean", np.concatenate(groups), tv.shape[0])
+    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    if not counts.all():
+        raise ValueError("mean over an empty group")
+    indptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    members = sparse.csr_matrix((np.ones(idx.size), idx, indptr),
+                                shape=(counts.size, tv.shape[0]))
+    return _emit(table.tape, (members @ tv) / counts[:, None], (table,), _group_mean_backward,
+                 tv.shape, idx, indptr)
+
+
+def _group_mean_backward(shape, idx, indptr, g):
+    counts = np.diff(indptr)
+    later_first = np.concatenate(np.split(idx, indptr[1:-1])[::-1])
+    rows = np.repeat((g / counts[:, None])[::-1], counts[::-1], axis=0)
+    return (_Deferred(True, shape, later_first, rows),)
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +651,20 @@ def batchnorm(x, scale, shift, state: BatchNormState, mode: str = "train",
     inv = 1.0 / np.sqrt(var + state.eps)
     xhat = (xv - mu) * inv
     y = xhat * scale.values + shift.values
-    sv = scale.values
-    n = xv.shape[0]
+    backward = _batchnorm_train_backward if mode == "train" else _batchnorm_infer_backward
+    return _emit(_tape_of(x, scale, shift), y, (x, scale, shift), backward,
+                 scale.values, inv, xhat)
 
-    if mode == "train":
-        def backward(g):
-            dxhat = g * sv
-            dx = inv / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
-    else:
-        def backward(g):
-            return g * sv * inv, (g * xhat).sum(axis=0), g.sum(axis=0)
 
-    return _emit(_tape_of(x, scale, shift), y, (x, scale, shift), backward)
+def _batchnorm_train_backward(sv, inv, xhat, g):
+    n = xhat.shape[0]
+    dxhat = g * sv
+    dx = inv / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def _batchnorm_infer_backward(sv, inv, xhat, g):
+    return g * sv * inv, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ configuration and seed. Exit codes: 0 success, 2 usage or data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DataError, GeneratorConfig, generate_synthetic, load_dataset,
+from .data import (DataError, EhrDataset, GeneratorConfig, generate_synthetic, load_dataset,
                    make_labels, split_dataset)
 from .experiment import TrainSettings, assemble, derive_seeds, history_to_example
 from .experiment import train as run_training
@@ -239,11 +240,14 @@ def cmd_train(args) -> int:
 
 
 def _split_examples(bundle, dataset_path: str, tag: str):
+    """The examples of split ``tag``; only they are labelled. Loading still
+    checks every patient's codes against the index."""
     dataset = load_dataset(dataset_path, tree=bundle.tree)
     counts = tuple(bundle.split["counts"])
     split_dataset(dataset, counts, derive_seeds(bundle.split["seed"]).split)
-    labels = make_labels(dataset, bundle.task, bundle.tree, hf_prefix=bundle.hf_prefix)
-    examples = prepare_examples(dataset, tag, bundle.tree, bundle.vocab, labels)
+    scored = EhrDataset(dataset.split_patients(tag))
+    labels = make_labels(scored, bundle.task, bundle.tree, hf_prefix=bundle.hf_prefix)
+    examples = prepare_examples(scored, None, bundle.tree, bundle.vocab, labels)
     if not examples:
         raise ValueError(f"the {tag!r} split is empty")
     return examples
@@ -417,8 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of the process: building it takes
+    about a millisecond, a few percent of a ``cgl predict``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except TrainingDivergenceError as exc:

@@ -12,8 +12,9 @@ One forward pass:
    features only. The graphs are sparse (CSR), and the link weights exist
    only on the links, so this step costs O(nnz), not O(codes^2).
 3. Per patient: each feature visit embeds as the mean of its codes' final
-   features, a GRU consumes the visit sequence, and a location attention over
-   the GRU states yields the visit summary o_v.
+   features (one pooling op for every visit of a batch), a GRU consumes the
+   visit sequence, and a location attention over the GRU states yields the
+   visit summary o_v.
 4. The latest note's word embeddings are projected and attended with o_v as
    the context; the attention weights are pulled toward per-note TF-IDF
    targets by a rectification penalty added to the loss.
@@ -272,25 +273,24 @@ class FrozenScorer:
     def _constants(self) -> dict[str, ad.Tensor]:
         return {name: ad.constant(arr) for name, arr in self.params.arrays.items()}
 
-    def visit_embedding(self, h_c: ad.Tensor, code_idx: np.ndarray) -> ad.Tensor:
-        if code_idx.size == 0:
-            raise ValueError("a visit must carry at least one code")
-        return ad.reduce_mean(ad.gather_rows(h_c, code_idx), axis=0)
+    @staticmethod
+    def pool_visits(h_c: ad.Tensor, examples: list[PatientExample]) -> ad.Tensor:
+        """Every feature visit of ``examples``, in order, as the mean of its
+        codes' rows of ``h_c``: one (visits, d) op for the whole batch."""
+        return ad.group_mean(h_c, [idx for ex in examples for idx in ex.visit_codes])
 
-    def encode_visits(self, leaves, visit_vecs: list[ad.Tensor]):
-        """GRU over the visit sequence plus location attention.
+    def encode_visits(self, leaves, visit_rows: list[ad.Tensor]):
+        """GRU over the visit sequence, one (1, d) row per visit, plus
+        location attention.
 
         Gates: z = sig(xW+hU+b), r = sig(xW'+hU'+b'), n = tanh(xW''+(r*h)U''+b''),
         h' = z*h + (1-z)*n, from a zero initial state.
         """
-        if not visit_vecs:
+        if not visit_rows:
             raise ValueError("need at least one visit")
-        cfg = self.config
-        d_in = cfg.code_layer_dims[-1]
-        h = ad.constant(np.zeros((1, cfg.gru_hidden)))
+        h = ad.constant(np.zeros((1, self.config.gru_hidden)))
         rows = None
-        for v in visit_vecs:
-            x = ad.reshape(v, (1, d_in))
+        for x in visit_rows:
             z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_update"]),
                                          ad.matmul(h, leaves["gru_state_update"])),
                                   leaves["gru_bias_update"]))
@@ -316,10 +316,12 @@ class FrozenScorer:
         o_n = ad.matmul(alpha, projected)
         return alpha, o_n
 
-    def patient_forward(self, leaves, h_c: ad.Tensor, example: PatientExample):
-        """Scores and note attention for one patient given code features."""
-        visit_vecs = [self.visit_embedding(h_c, idx) for idx in example.visit_codes]
-        _, _, o_v = self.encode_visits(leaves, visit_vecs)
+    def patient_forward(self, leaves, visits: ad.Tensor, first: int, example: PatientExample):
+        """Scores and note attention for one patient, whose pooled visits are
+        the rows of ``visits`` from ``first`` on."""
+        rows = [ad.gather_rows(visits, [i])
+                for i in range(first, first + len(example.visit_codes))]
+        _, _, o_v = self.encode_visits(leaves, rows)
         if self.config.use_notes:
             note_alpha, o_n = self.note_attention(leaves, example.note_tokens, o_v)
         else:
@@ -328,15 +330,24 @@ class FrozenScorer:
         logits = ad.add(ad.matmul(out, leaves["head_weight"]), leaves["head_bias"])
         return ad.sigmoid(logits), note_alpha
 
-    def predict_example(self, example: PatientExample):
-        """Frozen-feature scores and note attention for one patient."""
+    def predict_examples(self, examples: list[PatientExample]):
+        """Frozen-feature scores and note attention for each patient, whose
+        visits are pooled in one op."""
         if self.frozen_code_repr is None:
             raise RuntimeError("freeze_code_embeddings() must run before inference")
         leaves = self._constants()
-        h_c = ad.constant(self.frozen_code_repr)
-        y_hat, note_alpha = self.patient_forward(leaves, h_c, example)
-        alpha = None if note_alpha is None else note_alpha.values.copy()
-        return y_hat.values.copy(), alpha
+        visits = self.pool_visits(ad.constant(self.frozen_code_repr), examples)
+        out, first = [], 0
+        for ex in examples:
+            y_hat, note_alpha = self.patient_forward(leaves, visits, first, ex)
+            first += len(ex.visit_codes)
+            out.append((y_hat.values.copy(),
+                        None if note_alpha is None else note_alpha.values.copy()))
+        return out
+
+    def predict_example(self, example: PatientExample):
+        """Frozen-feature scores and note attention for one patient."""
+        return self.predict_examples([example])[0]
 
 
 class CollaborativeGraphModel(FrozenScorer):
@@ -473,8 +484,11 @@ class CollaborativeGraphModel(FrozenScorer):
             raise ValueError("empty batch")
         ce_sum = None
         pen_sum = None
+        visits = self.pool_visits(h_c, examples)
+        first = 0
         for ex in examples:
-            y_hat, note_alpha = self.patient_forward(leaves, h_c, ex)
+            y_hat, note_alpha = self.patient_forward(leaves, visits, first, ex)
+            first += len(ex.visit_codes)
             ce = self._cross_entropy(y_hat, ex.label_vec)
             pen = rectified_penalty(note_alpha, ex.beta) if self.config.use_notes \
                 else ad.constant(0.0)
@@ -541,7 +555,7 @@ class AdamOptimizer:
 
 def predict_scores(model: FrozenScorer, examples: list[PatientExample]) -> np.ndarray:
     """Frozen-feature scores, one row per example, from a scorer or a trained model."""
-    return np.stack([model.predict_example(ex)[0] for ex in examples])
+    return np.stack([scores for scores, _ in model.predict_examples(examples)])
 
 
 def compute_metrics(scores: np.ndarray, examples: list[PatientExample], task: str,

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -653,3 +656,80 @@ def test_generator_pair_needs_two_values(tmp_path, capsys, line):
     rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert line.split()[0].removeprefix("gen_") in capsys.readouterr().err
+
+
+def test_evaluate_labels_only_the_scored_split(workspace, tmp_path, monkeypatch):
+    bundle, _ = first_split_patient(workspace, "test")
+    ds = load_dataset(workspace["gen"] / "dataset.jsonl")
+    split_dataset(ds, tuple(bundle.split["counts"]), derive_seeds(bundle.split["seed"]).split)
+    labelled = []
+    make_labels = cli.make_labels
+
+    def spy(dataset, *args, **kwargs):
+        labelled.extend(p.pid for p in dataset.patients)
+        return make_labels(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_labels", spy)
+    rc = main(["evaluate", "--checkpoint", str(workspace["run"] / "checkpoint"),
+               "--dataset", str(workspace["gen"] / "dataset.jsonl"), "--split", "valid",
+               "--out", str(tmp_path / "eval")])
+    assert rc == 0
+    assert labelled == [p.pid for p in ds.split_patients("valid")]
+
+
+def test_evaluate_bad_code_in_train_split_exits_2(workspace, tmp_path, capsys):
+    """Only the scored split is labelled, but loading checks every patient's codes."""
+    _, patient = first_split_patient(workspace, "train")
+    lines = []
+    for line in (workspace["gen"] / "dataset.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["patient"] == patient.pid:
+            record["visits"][0]["codes"].append("no-such-code")
+            line = json.dumps(record)
+        lines.append(line)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["evaluate", "--checkpoint", str(workspace["run"] / "checkpoint"),
+               "--dataset", str(dataset), "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert f"unknown code 'no-such-code' (patient {patient.pid})" in capsys.readouterr().err
+
+
+def test_one_process_matches_fresh_processes(workspace, tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; predict, a call that fails to
+    parse and evaluate then print what fresh processes print."""
+    _, patient = first_split_patient(workspace, "test")
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps({"visits": [{"codes": v.codes, "note": v.note}
+                                              for v in patient.feature_visits]}),
+                       encoding="utf-8")
+    ckpt, out = str(workspace["run"] / "checkpoint"), tmp_path / "eval"
+    calls = [["predict", "--checkpoint", ckpt, "--history", str(history)],
+             ["predict", "--checkpoint", ckpt, "--history", str(history), "--top", "many"],
+             ["evaluate", "--checkpoint", ckpt, "--dataset",
+              str(workspace["gen"] / "dataset.jsonl"), "--out", str(out)]]
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    in_process = []
+    capsys.readouterr()
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        in_process.append((rc, *capsys.readouterr()))
+    outputs = [(out / name).read_bytes() for name in ("report.txt", "per_patient.csv")]
+    cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert [rc for rc, _, _ in in_process] == [0, 2, 0]
+
+    env = {**os.environ, "CGL_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv, got in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "cgl.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == got, argv
+    assert [(out / name).read_bytes() for name in ("report.txt", "per_patient.csv")] == outputs

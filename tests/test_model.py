@@ -1,5 +1,6 @@
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,22 +300,28 @@ def test_visit_embedding_cases():
     m = prob.model
     rng = np.random.default_rng(5)
     h_c = ad.constant(rng.normal(size=(m.n_codes, 8)))
-    single = m.visit_embedding(h_c, np.array([3]))
-    assert np.array_equal(single.values, h_c.values[3])
+
+    def pool(table, *visits):
+        return m.pool_visits(table, [replace(prob.examples[0], visit_codes=list(visits))])
+
+    single = pool(h_c, np.array([3]))
+    assert np.array_equal(single.values, h_c.values[[3]])
     opposite = h_c.values.copy()
     opposite[1] = -opposite[0]
-    v = m.visit_embedding(ad.constant(opposite), np.array([0, 1]))
+    v = pool(ad.constant(opposite), np.array([0, 1]))
     assert np.max(np.abs(v.values)) < 1e-15
-    v3 = m.visit_embedding(h_c, np.array([0, 4, 7]))
-    assert np.max(np.abs(v3.values - h_c.values[[0, 4, 7]].mean(axis=0))) < 1e-12
+    v3 = pool(h_c, np.array([0, 4, 7]))
+    assert np.max(np.abs(v3.values[0] - h_c.values[[0, 4, 7]].mean(axis=0))) < 1e-12
+    together = pool(h_c, np.array([3]), np.array([0, 4, 7]))
+    assert np.array_equal(together.values, np.concatenate([single.values, v3.values]))
     with pytest.raises(ValueError):
-        m.visit_embedding(h_c, np.array([], dtype=np.intp))
+        pool(h_c, np.array([], dtype=np.intp))
 
 
 def test_single_visit_attention_is_identity():
     prob = build_problem()
     m = prob.model
-    vec = ad.constant(np.random.default_rng(7).normal(size=prob.config.code_layer_dims[-1]))
+    vec = ad.constant(np.random.default_rng(7).normal(size=(1, prob.config.code_layer_dims[-1])))
     rows, alpha, o_v = m.encode_visits(m._constants(), [vec])
     assert np.array_equal(alpha.values, [1.0])
     assert np.array_equal(o_v.values, rows.values[0])
@@ -326,7 +333,7 @@ def test_zero_gru_weights_give_zero_states():
     for name in m.params.arrays:
         if name.startswith("gru_"):
             m.params.arrays[name][:] = 0.0
-    vecs = [ad.constant(np.ones(prob.config.code_layer_dims[-1])) for _ in range(3)]
+    vecs = [ad.constant(np.ones((1, prob.config.code_layer_dims[-1]))) for _ in range(3)]
     rows, alpha, o_v = m.encode_visits(m._constants(), vecs)
     assert np.all(rows.values == 0.0)
     assert np.all(o_v.values == 0.0)
@@ -345,7 +352,7 @@ def test_gru_single_step_matches_gate_oracle():
         m.params.arrays[f"gru_state_{gate}"][:] = rng.normal(size=(2, 2))
         m.params.arrays[f"gru_bias_{gate}"][:] = rng.normal(size=2)
     x = rng.normal(size=2)
-    rows, _, _ = m.encode_visits(m._constants(), [ad.constant(x)])
+    rows, _, _ = m.encode_visits(m._constants(), [ad.constant(x[None, :])])
     a = m.params.arrays
     z = SIG(x @ a["gru_in_update"] + a["gru_bias_update"])
     n = np.tanh(x @ a["gru_in_cand"] + a["gru_bias_cand"])
@@ -357,7 +364,7 @@ def test_attention_convexity():
     prob = build_problem()
     m = prob.model
     rng = np.random.default_rng(13)
-    vecs = [ad.constant(rng.normal(size=prob.config.code_layer_dims[-1])) for _ in range(4)]
+    vecs = [ad.constant(rng.normal(size=(1, prob.config.code_layer_dims[-1]))) for _ in range(4)]
     rows, alpha, o_v = m.encode_visits(m._constants(), vecs)
     assert abs(alpha.values.sum() - 1.0) < 1e-12
     assert np.all(alpha.values >= 0)
@@ -469,7 +476,8 @@ def test_frozen_inference_matches_infer_mode_graph_pass():
     frozen_scores, _ = m.predict_example(prob.examples[0])
     leaves = m._constants()
     h_c = m.graph_forward(leaves, mode="infer", update_stats=False)
-    y_hat, _ = m.patient_forward(leaves, h_c, prob.examples[0])
+    y_hat, _ = m.patient_forward(leaves, m.pool_visits(h_c, prob.examples[:1]), 0,
+                                 prob.examples[0])
     assert np.max(np.abs(frozen_scores - y_hat.values)) < 1e-9
 
 
@@ -495,7 +503,7 @@ def test_batch_loss_matches_direct_formula():
     ce_vals, pen_vals = [], []
     eps = model.CLAMP_EPS
     for ex in prob.examples:
-        y_hat, note_alpha = m.patient_forward(leaves2, h_c2, ex)
+        y_hat, note_alpha = m.patient_forward(leaves2, m.pool_visits(h_c2, [ex]), 0, ex)
         p = np.clip(y_hat.values, eps, 1 - eps)
         y = ex.label_vec
         ce_vals.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))

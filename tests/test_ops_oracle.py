@@ -1,0 +1,333 @@
+"""Every autodiff op against its closure-based form in ``closure_ops.py``.
+
+Each op now records a module-level backward function bound to its saved
+operands. On random shapes (equal shapes, ``()`` and ``(1,)`` scalars,
+trailing-suffix bias rows) and every mix of tracked and untracked operands,
+its values and gradients must equal the closure form's bit for bit, and the
+gradients must agree with finite differences. ``group_mean`` has no closure
+form: its oracle is ``reduce_mean(gather_rows(table, group), axis=0)`` per
+group, recorded in group order.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import sparse
+
+import closure_ops as old
+from cgl import autodiff as ad
+
+seeds = st.integers(0, 2**32 - 1)
+dims = st.integers(1, 4)
+shapes = st.lists(dims, min_size=0, max_size=2).map(tuple)
+
+
+def run(mod, call, operands, tracked, w):
+    """``call(mod, tensors)`` on a fresh tape: the output values and, when an
+    operand is tracked, the gradients of ``sum(out * w)`` for the tracked ones.
+    An operand that is not an array (a Python float) is passed as it is."""
+    tape = ad.Tape()
+    xs = [tape.leaf(a) if t else (ad.constant(a) if isinstance(a, np.ndarray) else a)
+          for a, t in zip(operands, tracked)]
+    out = call(mod, xs)
+    if not any(tracked):
+        assert out.tape is None
+        return out.values, []
+    mod.reduce_sum(mod.mul(out, w)).backward()
+    return out.values, [x.grad for x, t in zip(xs, tracked) if t]
+
+
+def assert_matches_oracle(call, operands, tracked, seed):
+    """Values and gradients equal to the closure ops'; finite differences agree."""
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, size=call(old, operands).shape)
+    got_values, got_grads = run(ad, call, operands, tracked, w)
+    want_values, want_grads = run(old, call, operands, tracked, w)
+    assert got_values.dtype == np.float64
+    assert got_values.shape == want_values.shape
+    assert np.array_equal(got_values, want_values)
+    assert len(got_grads) == len(want_grads)
+    for got, want in zip(got_grads, want_grads):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    if any(tracked):
+        params = {f"x{i}": np.array(a, dtype=np.float64)
+                  for i, (a, t) in enumerate(zip(operands, tracked)) if t}
+
+        def program():
+            tape = ad.Tape()
+            leaves = {name: tape.leaf(arr) for name, arr in params.items()}
+            xs = [leaves.get(f"x{i}", a) for i, a in enumerate(operands)]
+            return ad.reduce_sum(ad.mul(call(ad, xs), w)), leaves
+
+        report = ad.check_gradients(program, params, step=1e-6)
+        assert report.max_rel_err < 1e-5, report.summary()
+
+
+def away_from(x, points, gap=0.05):
+    """``x`` with entries within ``gap`` of a kink moved off it."""
+    for p in points:
+        x = np.where(np.abs(x - p) < gap, p + 0.3, x)
+    return x
+
+
+# ---------------------------------------------------------------------------
+# elementwise ops
+
+
+# operand shapes made from a base shape: equal, a scalar of shape () or (1,) on
+# either side, a Python float, or a bias row that is a trailing suffix
+PAIRS = {
+    "equal": lambda s: (s, s),
+    "a=()": lambda s: ((), s),
+    "a=(1,)": lambda s: ((1,), s),
+    "b=()": lambda s: (s, ()),
+    "b=(1,)": lambda s: (s, (1,)),
+    "b=float": lambda s: (s, ()),
+    "b=suffix": lambda s: ((2, *s), s),
+    "a=suffix": lambda s: (s, (3, *s)),
+}
+
+
+@given(seed=seeds, op=st.sampled_from(["add", "sub", "mul"]),
+       kind=st.sampled_from(sorted(PAIRS)), base=st.lists(dims, min_size=1, max_size=2).map(tuple),
+       tracked=st.tuples(st.booleans(), st.booleans()))
+def test_binary_ops_match_oracle(seed, op, kind, base, tracked):
+    rng = np.random.default_rng(seed)
+    sa, sb = PAIRS[kind](base)
+    a, b = rng.normal(size=sa), rng.normal(size=sb)
+    if kind == "b=float":
+        b, tracked = float(b), (tracked[0], False)
+    assert_matches_oracle(lambda mod, xs: getattr(mod, op)(*xs), [a, b], tracked, seed)
+
+
+@given(seed=seeds, op=st.sampled_from(["sigmoid", "tanh", "relu", "log", "clamp"]),
+       shape=shapes, tracked=st.booleans())
+def test_unary_ops_match_oracle(seed, op, shape, tracked):
+    x = np.random.default_rng(seed).normal(size=shape)
+    if op == "log":
+        x = np.abs(x) + 0.1
+    x = away_from(x, {"relu": [0.0], "clamp": [-0.5, 0.5]}.get(op, []))
+    if op == "clamp":
+        call = lambda mod, xs: mod.clamp(xs[0], -0.5, 0.5)
+    else:
+        call = lambda mod, xs: getattr(mod, op)(xs[0])
+    assert_matches_oracle(call, [x], [tracked], seed)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra and shape ops
+
+
+@given(seed=seeds, m=st.integers(0, 4), k=dims, n=st.integers(0, 4),
+       tracked=st.tuples(st.booleans(), st.booleans()))
+def test_matmul_matches_oracle(seed, m, k, n, tracked):
+    """``m == 0`` is a 1-d left operand and ``n == 0`` a 1-d right one."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, k) if m else (k,))
+    b = rng.normal(size=(k, n) if n else (k,))
+    assert_matches_oracle(lambda mod, xs: mod.matmul(*xs), [a, b], tracked, seed)
+
+
+@given(seed=seeds, rows=dims, cols=dims, width=dims, density=st.floats(0.1, 1.0),
+       tracked=st.tuples(st.booleans(), st.booleans()))
+def test_spmm_matches_oracle(seed, rows, cols, width, density, tracked):
+    rng = np.random.default_rng(seed)
+    pattern = sparse.random(rows, cols, density=density, format="csr", random_state=rng)
+    values, x = rng.normal(size=pattern.nnz), rng.normal(size=(cols, width))
+    call = lambda mod, xs: mod.spmm(pattern, *xs)
+    assert_matches_oracle(call, [values, x], tracked, seed)
+
+
+@given(seed=seeds, shape=st.lists(dims, min_size=1, max_size=2).map(tuple),
+       axis=st.integers(-2, 1), tracked=st.booleans())
+def test_softmax_matches_oracle(seed, shape, axis, tracked):
+    if not -len(shape) <= axis < len(shape):
+        axis = -1
+    x = np.random.default_rng(seed).normal(size=shape)
+    assert_matches_oracle(lambda mod, xs: mod.softmax(xs[0], axis=axis), [x], [tracked], seed)
+
+
+@given(seed=seeds, op=st.sampled_from(["reduce_sum", "reduce_mean"]), shape=shapes,
+       axis=st.sampled_from([None, 0, 1, -1]), tracked=st.booleans())
+def test_reductions_match_oracle(seed, op, shape, axis, tracked):
+    if axis is not None and not -len(shape) <= axis < len(shape):
+        axis = None
+    x = np.random.default_rng(seed).normal(size=shape)
+    call = lambda mod, xs: getattr(mod, op)(xs[0], axis=axis)
+    assert_matches_oracle(call, [x], [tracked], seed)
+
+
+@given(seed=seeds, base=st.lists(dims, min_size=1, max_size=2).map(tuple),
+       axis=st.integers(0, 1), extra=dims, tracked=st.tuples(st.booleans(), st.booleans()))
+def test_concat_matches_oracle(seed, base, axis, extra, tracked):
+    axis = axis % len(base)
+    rng = np.random.default_rng(seed)
+    sb = base[:axis] + (extra,) + base[axis + 1:]
+    a, b = rng.normal(size=base), rng.normal(size=sb)
+    call = lambda mod, xs: mod.concat(*xs, axis=axis)
+    assert_matches_oracle(call, [a, b], tracked, seed)
+
+
+@given(seed=seeds, shape=shapes, flat=st.booleans(), tracked=st.booleans())
+def test_reshape_matches_oracle(seed, shape, flat, tracked):
+    x = np.random.default_rng(seed).normal(size=shape)
+    target = (-1,) if flat else (1, -1)
+    call = lambda mod, xs: mod.reshape(xs[0], target)
+    assert_matches_oracle(call, [x], [tracked], seed)
+
+
+@given(seed=seeds, rows=dims, width=st.integers(0, 3),
+       indices=st.lists(st.integers(0, 3), max_size=6), tracked=st.booleans())
+def test_gather_rows_matches_oracle(seed, rows, width, indices, tracked):
+    """``width == 0`` is a 1-d table; indices repeat rows or are empty."""
+    table = np.random.default_rng(seed).normal(size=(rows, width) if width else (rows,))
+    idx = [i % rows for i in indices]
+    call = lambda mod, xs: mod.gather_rows(xs[0], idx)
+    assert_matches_oracle(call, [table], [tracked], seed)
+
+
+@given(seed=seeds, n=st.integers(2, 4), d=st.integers(1, 3), train=st.booleans(),
+       tracked=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_batchnorm_matches_oracle(seed, n, d, train, tracked):
+    rng = np.random.default_rng(seed)
+    x, scale, shift = rng.normal(size=(n, d)), rng.normal(size=d), rng.normal(size=d)
+    state = ad.BatchNormState(d)
+    ad.batchnorm(rng.normal(size=(3, d)), np.ones(d), np.zeros(d), state)
+    call = lambda mod, xs: mod.batchnorm(*xs, state, "train" if train else "infer",
+                                         update=False)
+    assert_matches_oracle(call, [x, scale, shift], tracked, seed)
+
+
+# ---------------------------------------------------------------------------
+# group_mean against gather_rows + reduce_mean
+
+
+def per_group_oracle(table, groups):
+    """The parent's visit pooling: per group, in order, a gather and a mean."""
+    rows = [old.reshape(old.reduce_mean(old.gather_rows(table, g), axis=0), (1, -1))
+            for g in groups]
+    return rows
+
+
+def assert_group_mean_matches(table_values, groups, w):
+    """``group_mean``'s rows and the table gradient of ``sum_i rows_i . w_i``
+    equal the per-group gather and mean's, bit for bit."""
+    tape = ad.Tape()
+    table = tape.leaf(table_values)
+    pooled = ad.group_mean(table, groups)
+    terms = [old.reduce_sum(old.mul(ad.gather_rows(pooled, [i]), w[i]))
+             for i in range(len(groups))]
+    total = terms[0]
+    for term in terms[1:]:
+        total = old.add(total, term)
+    total.backward()
+
+    tape = ad.Tape()
+    table_old = tape.leaf(table_values)
+    rows = per_group_oracle(table_old, groups)
+    terms = [old.reduce_sum(old.mul(row, w[i])) for i, row in enumerate(rows)]
+    total_old = terms[0]
+    for term in terms[1:]:
+        total_old = old.add(total_old, term)
+    total_old.backward()
+
+    assert np.array_equal(pooled.values, np.concatenate([r.values for r in rows]))
+    assert np.array_equal(total.values, total_old.values)
+    assert np.array_equal(table.grad, table_old.grad)
+
+
+@given(seed=seeds, rows=dims, width=dims,
+       groups=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=5),
+                       min_size=1, max_size=5))
+def test_group_mean_matches_gather_and_mean(seed, rows, width, groups):
+    """Groups may repeat rows, within a group and across groups."""
+    rng = np.random.default_rng(seed)
+    groups = [np.array([i % rows for i in g], dtype=np.intp) for g in groups]
+    table = rng.normal(size=(rows, width))
+    w = rng.normal(size=(len(groups), 1, width))
+    assert_group_mean_matches(table, groups, w)
+
+    params = {"table": table}
+
+    def program():
+        tape = ad.Tape()
+        leaves = {"table": tape.leaf(params["table"])}
+        pooled = ad.group_mean(ad.tanh(leaves["table"]), groups)
+        return ad.reduce_sum(ad.mul(pooled, w[:, 0, :])), leaves
+
+    report = ad.check_gradients(program, params, step=1e-6)
+    assert report.max_rel_err < 1e-5, report.summary()
+
+
+def test_group_mean_rejects_bad_groups():
+    table = np.ones((3, 2))
+    with pytest.raises(ValueError, match="empty group"):
+        ad.group_mean(table, [np.array([0]), np.array([], dtype=np.intp)])
+    with pytest.raises(ValueError, match="at least one group"):
+        ad.group_mean(table, [])
+    with pytest.raises(IndexError, match="row index 3"):
+        ad.group_mean(table, [np.array([0, 3])])
+    with pytest.raises(ad.DimensionError):
+        ad.group_mean(np.ones(3), [np.array([0])])
+
+
+# ---------------------------------------------------------------------------
+# input coercion and broadcast rules
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+@pytest.mark.parametrize("sa,sb", [((4, 3), (4,)), ((4, 3), (4, 1)), ((2, 3), (3, 2)),
+                                   ((3,), (2,)), ((1, 3), (2, 3)), ((2,), (2, 1))])
+def test_disallowed_broadcasts_still_raise(op, sa, sb):
+    for a, b in ((np.ones(sa), np.ones(sb)), (np.ones(sb), np.ones(sa))):
+        with pytest.raises(ad.DimensionError):
+            getattr(ad, op)(a, b)
+        with pytest.raises(ad.DimensionError):
+            getattr(old, op)(a, b)
+
+
+@pytest.mark.parametrize("values", [
+    3, [1, 2, 3], [[1.5, 2.5]], np.arange(3), np.arange(3, dtype=np.float32),
+    np.array([True, False]), np.float32(2.5), np.arange(6.0).reshape(2, 3)[:, 1],
+    np.arange(3, dtype=">f8"),
+], ids=["int", "int-list", "float-list", "int-array", "float32-array", "bool-array",
+        "float32-scalar", "strided-view", "big-endian"])
+def test_inputs_become_float64(values):
+    expected = np.asarray(values, dtype=np.float64)
+    for made in (ad.constant(values), ad.Tape().leaf(values), ad.add(values, 0.0),
+                 ad.mul(values, 1.0), ad.sigmoid(values)):
+        assert made.values.dtype == np.float64
+        assert made.values.dtype.isnative
+        assert made.values.shape == expected.shape
+    assert np.array_equal(ad.constant(values).values, expected)
+    assert np.array_equal(ad.add(values, 0.0).values, old.add(values, 0.0).values)
+
+
+def test_float64_array_is_not_copied():
+    values = np.arange(4.0)
+    assert ad.constant(values).values is values
+    assert ad.Tape().leaf(values).values is values
+
+
+def test_tape_entries_hold_no_closure():
+    """Every recorded backward is a module-level function bound by ``partial``."""
+    rng = np.random.default_rng(0)
+    tape = ad.Tape()
+    x, w = tape.leaf(rng.normal(size=(3, 2))), tape.leaf(rng.normal(size=(2, 2)))
+    state = ad.BatchNormState(2)
+    h = ad.batchnorm(ad.matmul(x, w), np.ones(2), np.zeros(2), state)
+    h = ad.concat(ad.relu(h), ad.clamp(ad.tanh(h), -0.5, 0.5), axis=0)
+    h = ad.softmax(ad.sub(1.0, ad.mul(ad.sigmoid(h), ad.add(h, 1.0))), axis=0)
+    h = ad.group_mean(ad.gather_rows(h, [0, 1, 5]), [np.array([0, 2]), np.array([1])])
+    pattern = sparse.csr_matrix(np.eye(2))
+    h = ad.spmm(pattern, pattern.data, h)
+    loss = ad.reduce_sum(ad.log(ad.reduce_mean(ad.reshape(ad.add(h, 2.0), (-1,)), axis=0)))
+    for _, _, backward in tape._entries:
+        assert isinstance(backward, functools.partial)
+        assert backward.func.__closure__ is None
+        assert backward.func.__qualname__ == backward.func.__name__
+    loss.backward()
+    assert all(np.isfinite(leaf.grad).all() for leaf in (x, w))

@@ -14,9 +14,10 @@ its cells to every entry, and a training step records thousands of entries,
 so those objects kept the cyclic garbage collector busy for a large share of
 the run.
 
-Two ops defer their gradient instead of forming it densely: ``matmul`` for its
-right operand (kept as the left operand's rows and the output gradient's rows)
-and ``gather_rows`` on a 2-d table (kept as the indices and the gradient rows).
+Two ops defer their gradient instead of forming it densely: ``matmul`` for a
+shared 1-d or 2-d right operand (kept as the left operand's rows and the
+output gradient's rows; a stacked left operand gives all its items' rows) and
+``gather_rows`` on a 2-d table (kept as the indices and the gradient rows).
 The tape collects a node's deferred contributions and resolves them once, when
 it first reads that node's gradient: one GEMM over the stacked rows, or one
 scatter-add over the concatenated indices, added to the node's dense sum. A
@@ -59,8 +60,10 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "concat",
+    "stack",
     "reshape",
     "gather_rows",
+    "fold_sum",
     "group_mean",
     "batchnorm",
     "check_gradients",
@@ -390,14 +393,25 @@ def clamp(x, lo: float, hi: float) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product for 1-d/2-d operands; 1-d operands behave like numpy's
-    (row vector on the left, column vector on the right, result squeezed)."""
+    (row vector on the left, column vector on the right, result squeezed).
+
+    A 3-d left operand is a stack of B matrices: ``(B, m, k) @ (k, n)``
+    multiplies each by the shared right operand, and ``(B, m, k) @ (B, k, n)``
+    multiplies item by item. numpy runs the same kernel on each item of a stack
+    as on a lone matrix, so a stacked product has the bits of B separate ones;
+    the row-batched ``(B*m, k) @ (k, n)`` does not. The shared right operand's
+    gradient is one deferred contribution over all B*m stacked rows.
+    """
     a, b = _lift(a), _lift(b)
     av, bv = a.values, b.values
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
-        raise DimensionError(f"matmul needs 1-d or 2-d operands, got {av.shape} and {bv.shape}")
-    a2 = av if av.ndim == 2 else av[None, :]
-    b2 = bv if bv.ndim == 2 else bv[:, None]
-    if a2.shape[1] != b2.shape[0]:
+    shared = 0 < av.ndim <= 3 and 0 < bv.ndim <= 2
+    paired = av.ndim == bv.ndim == 3 and av.shape[0] == bv.shape[0]
+    if not (shared or paired):
+        raise DimensionError(f"matmul needs 1-d or 2-d operands, or a stacked 3-d left "
+                             f"operand, got {av.shape} and {bv.shape}")
+    a2 = av if av.ndim > 1 else av[None, :]
+    b2 = bv if bv.ndim > 1 else bv[:, None]
+    if a2.shape[-1] != b2.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
     out = a2 @ b2
     if av.ndim == 1:
@@ -409,10 +423,15 @@ def matmul(a, b) -> Tensor:
 
 
 def _matmul_backward(av, bv, a2, b2, need_a, need_b, g):
-    g2 = g.reshape(a2.shape[0], b2.shape[1])
-    ga = (g2 @ b2.T).reshape(av.shape) if need_a else None
-    gb = _Deferred(False, bv.shape, a2, g2) if need_b else None
-    return ga, gb
+    g2 = g.reshape(*a2.shape[:-1], b2.shape[-1])
+    ga = (g2 @ np.swapaxes(b2, -1, -2)).reshape(av.shape) if need_a else None
+    if not need_b:
+        return ga, None
+    if b2.ndim == 3:
+        return ga, np.swapaxes(a2, -1, -2) @ g2
+    if a2.ndim == 3:
+        a2, g2 = a2.reshape(-1, a2.shape[-1]), g2.reshape(-1, g2.shape[-1])
+    return ga, _Deferred(False, bv.shape, a2, g2)
 
 
 def spmm(pattern, values, x) -> Tensor:
@@ -520,6 +539,22 @@ def _concat_backward(boundary, ax, g):
     return tuple(np.split(g, [boundary], axis=ax))
 
 
+def stack(parts) -> Tensor:
+    """Tensors of one shape stacked on a new leading axis, as ``np.stack``."""
+    parts = tuple(map(_lift, parts))
+    if not parts:
+        raise ValueError("stack needs at least one tensor")
+    shape = parts[0].values.shape
+    if any(p.values.shape != shape for p in parts):
+        raise DimensionError(f"stack needs equal shapes, got "
+                             f"{sorted({p.values.shape for p in parts})}")
+    return _emit(_tape_of(*parts), np.stack([p.values for p in parts]), parts, _unstack)
+
+
+def _unstack(g):
+    return tuple(g)
+
+
 def reshape(x, shape) -> Tensor:
     x = _lift(x)
     xv = x.values
@@ -530,10 +565,11 @@ def _reshape_backward(xv, g):
     return (g.reshape(xv.shape),)
 
 
-def _row_indices(op: str, indices, n: int) -> np.ndarray:
-    """``indices`` as a flat intp array of row numbers below ``n``."""
+def _row_indices(op: str, indices, n: int, flat: bool = True) -> np.ndarray:
+    """``indices`` as an intp array of row numbers below ``n``; flat unless
+    ``flat`` is false."""
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
+    if flat and idx.ndim != 1:
         raise DimensionError(f"{op} indices must be a flat sequence")
     if idx.size:
         bad = idx[(idx < 0) | (idx >= n)]
@@ -543,21 +579,23 @@ def _row_indices(op: str, indices, n: int) -> np.ndarray:
 
 
 def gather_rows(table, indices) -> Tensor:
-    """Select rows of a 2-d table, or entries of a vector; backward
-    scatter-adds, so repeated indices accumulate gradient. A table's
-    scatter is deferred to the tape; a vector's is one ``bincount``."""
+    """Select rows of a 2-d table, or entries of a vector, as ``table[indices]``:
+    the output has the shape of ``indices`` followed by a table row's shape, so
+    a (B, 1) index array gives a (B, 1, d) stack. Backward scatter-adds, so
+    repeated indices accumulate gradient. A table's scatter is deferred to the
+    tape; a vector's is one ``bincount``."""
     table = _lift(table)
     tv = table.values
     if tv.ndim not in (1, 2):
         raise DimensionError(f"gather_rows needs a 1-d or 2-d table, got shape {tv.shape}")
-    idx = _row_indices("gather_rows", indices, tv.shape[0])
-    return _emit(table.tape, tv[idx], (table,), _gather_backward, tv, idx)
+    idx = _row_indices("gather_rows", indices, tv.shape[0], flat=False)
+    return _emit(table.tape, tv[idx], (table,), _gather_backward, tv, idx.ravel())
 
 
 def _gather_backward(tv, idx, g):
     if tv.ndim == 1:
-        return (np.bincount(idx, weights=g, minlength=tv.shape[0]),)
-    return (_Deferred(True, tv.shape, idx, g),)
+        return (np.bincount(idx, weights=g.ravel(), minlength=tv.shape[0]),)
+    return (_Deferred(True, tv.shape, idx, g.reshape(idx.size, tv.shape[1])),)
 
 
 def group_mean(table, groups) -> Tensor:
@@ -593,6 +631,33 @@ def _group_mean_backward(shape, idx, indptr, g):
     later_first = np.concatenate(np.split(idx, indptr[1:-1])[::-1])
     rows = np.repeat((g / counts[:, None])[::-1], counts[::-1], axis=0)
     return (_Deferred(True, shape, later_first, rows),)
+
+
+def fold_sum(parts, order=None) -> Tensor:
+    """The entries of ``parts``, flattened and concatenated, then taken in
+    ``order`` (a permutation) when it is given, summed left to right.
+
+    ``((x0 + x1) + x2) + ...`` has the bits of a chain of scalar ``add`` ops,
+    which a pairwise ``reduce_sum`` loses once there are 8 or more terms. Each
+    entry's gradient is the output's gradient, as through the chain.
+    """
+    parts = tuple(map(_lift, parts))
+    if not parts:
+        raise ValueError("fold_sum needs at least one tensor")
+    flat = np.concatenate([p.values.ravel() for p in parts])
+    if flat.size == 0:
+        raise ValueError("fold_sum over no entries")
+    if order is not None:
+        order = np.asarray(order, dtype=np.intp)
+        if not np.array_equal(np.sort(order), np.arange(flat.size)):
+            raise ValueError(f"fold_sum order is not a permutation of {flat.size} entries")
+        flat = flat[order]
+    return _emit(_tape_of(*parts), np.add.accumulate(flat)[-1], parts, _fold_backward,
+                 tuple(p.values.shape for p in parts))
+
+
+def _fold_backward(shapes, g):
+    return tuple(np.full(shape, g) for shape in shapes)
 
 
 # ---------------------------------------------------------------------------

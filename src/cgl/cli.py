@@ -309,7 +309,7 @@ def _score_history(bundle, opts: Options):
     visits = _load_history_file(opts.require("history"))
     n_out = bundle.model.params.arrays["head_bias"].shape[0]
     example = history_to_example(visits, bundle.tree, bundle.vocab, n_out)
-    scores, alpha = bundle.model.predict_example(example)
+    [(scores, alpha)] = bundle.model.predict_examples([example])
     return example, scores, alpha
 
 

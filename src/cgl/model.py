@@ -14,12 +14,20 @@ One forward pass:
 3. Per patient: each feature visit embeds as the mean of its codes' final
    features (one pooling op for every visit of a batch), a GRU consumes the
    visit sequence, and a location attention over the GRU states yields the
-   visit summary o_v.
+   visit summary o_v. The patients of a batch with the same number of visits
+   T form a bucket that runs as one stack: the GRU steps on (B, 1, d)
+   operands, the attention on (B, T). This keeps every bit of running each
+   patient alone: numpy multiplies a stacked (B, 1, d) @ (d, h) item by item
+   with the kernel of a lone (1, d) product, where the row-batched
+   (B, d) @ (d, h) would round differently.
 4. The latest note's word embeddings are projected and attended with o_v as
-   the context; the attention weights are pulled toward per-note TF-IDF
-   targets by a rectification penalty added to the loss.
-5. A sigmoid head on [o_v, o_n] scores all codes (or the binary event), and
-   the loss is mean cross-entropy plus the weighted penalty.
+   the context, one patient at a time; the attention weights are pulled
+   toward per-note TF-IDF targets by a rectification penalty added to the
+   loss.
+5. A sigmoid head on [o_v, o_n] scores all codes (or the binary event), one
+   (B, 1, 2h) stack per bucket, and the loss is mean cross-entropy plus the
+   weighted penalty, each summed over the patients in batch order, left to
+   right.
 
 Inference freezes the trained code features and re-runs only steps 3-5, so
 patients outside the training graph need no patient embedding. Those steps
@@ -49,6 +57,7 @@ __all__ = [
     "FrozenScorer",
     "CollaborativeGraphModel",
     "PatientExample",
+    "PatientBucket",
     "AdamOptimizer",
     "TrainingDivergenceError",
     "default_note_loss_weight",
@@ -153,6 +162,23 @@ class PatientExample:
     beta: np.ndarray  # TF-IDF attention targets aligned with note_tokens
     label_vec: np.ndarray  # (n_codes,) for diagnosis, (1,) for the binary task
     occurred: np.ndarray  # codes seen in any feature visit, (n_codes,)
+
+
+@dataclass
+class PatientBucket:
+    """The patients of a batch that share a visit count T, run as one stack.
+
+    ``members`` are their positions in the batch, in batch order; ``alpha``
+    is the (B, T) location attention, ``o_v`` the (B, 1, h) visit summaries,
+    ``note_alpha`` each member's note attention (None for an empty note or
+    without notes) and ``y_hat`` the (B, 1, out) scores.
+    """
+
+    members: np.ndarray
+    alpha: ad.Tensor
+    o_v: ad.Tensor
+    note_alpha: list[ad.Tensor | None]
+    y_hat: ad.Tensor
 
 
 def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray,
@@ -279,18 +305,23 @@ class FrozenScorer:
         codes' rows of ``h_c``: one (visits, d) op for the whole batch."""
         return ad.group_mean(h_c, [idx for ex in examples for idx in ex.visit_codes])
 
-    def encode_visits(self, leaves, visit_rows: list[ad.Tensor]):
-        """GRU over the visit sequence, one (1, d) row per visit, plus
+    def encode_visits(self, leaves, visits: ad.Tensor, positions: np.ndarray):
+        """GRU over B patients' visit sequences of one length T at once, plus
         location attention.
 
+        Row b of the (B, T) ``positions`` lists the rows of ``visits`` that
+        hold patient b's visits, in order. Each step runs on (B, 1, .) stacks.
         Gates: z = sig(xW+hU+b), r = sig(xW'+hU'+b'), n = tanh(xW''+(r*h)U''+b''),
-        h' = z*h + (1-z)*n, from a zero initial state.
+        h' = z*h + (1-z)*n, from a zero initial state. Returns the (B, T, h)
+        states, the (B, T) attention and the (B, 1, h) summaries o_v.
         """
-        if not visit_rows:
+        n, steps = positions.shape
+        if not steps:
             raise ValueError("need at least one visit")
-        h = ad.constant(np.zeros((1, self.config.gru_hidden)))
+        h = ad.constant(np.zeros((n, 1, self.config.gru_hidden)))
         rows = None
-        for x in visit_rows:
+        for t in range(steps):
+            x = ad.gather_rows(visits, positions[:, t:t + 1])
             z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_update"]),
                                          ad.matmul(h, leaves["gru_state_update"])),
                                   leaves["gru_bias_update"]))
@@ -301,9 +332,9 @@ class FrozenScorer:
                                          ad.matmul(ad.mul(r, h), leaves["gru_state_cand"])),
                                   leaves["gru_bias_cand"]))
             h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), cand))
-            rows = h if rows is None else ad.concat(rows, h, axis=0)
-        alpha = ad.softmax(ad.matmul(rows, leaves["visit_context"]), axis=0)
-        o_v = ad.matmul(alpha, rows)
+            rows = h if rows is None else ad.concat(rows, h, axis=1)
+        alpha = ad.softmax(ad.matmul(rows, leaves["visit_context"]), axis=1)
+        o_v = ad.matmul(ad.reshape(alpha, (n, 1, steps)), rows)
         return rows, alpha, o_v
 
     def note_attention(self, leaves, token_idx: np.ndarray, o_v: ad.Tensor):
@@ -316,38 +347,55 @@ class FrozenScorer:
         o_n = ad.matmul(alpha, projected)
         return alpha, o_n
 
-    def patient_forward(self, leaves, visits: ad.Tensor, first: int, example: PatientExample):
-        """Scores and note attention for one patient, whose pooled visits are
-        the rows of ``visits`` from ``first`` on."""
-        rows = [ad.gather_rows(visits, [i])
-                for i in range(first, first + len(example.visit_codes))]
-        _, _, o_v = self.encode_visits(leaves, rows)
-        if self.config.use_notes:
-            note_alpha, o_n = self.note_attention(leaves, example.note_tokens, o_v)
-        else:
-            note_alpha, o_n = None, ad.constant(np.zeros(self.config.gru_hidden))
-        out = ad.concat(o_v, o_n, axis=0)
-        logits = ad.add(ad.matmul(out, leaves["head_weight"]), leaves["head_bias"])
-        return ad.sigmoid(logits), note_alpha
+    def patient_forward(self, leaves, visits: ad.Tensor,
+                        examples: list[PatientExample]) -> list[PatientBucket]:
+        """Scores and note attention for a batch whose pooled visits are the
+        rows of ``visits``, in ``pool_visits`` order.
+
+        Patients with the same number of visits form one bucket, in increasing
+        order of that number; the GRU, the location attention and the head run
+        once per bucket on stacks, the note attention once per patient.
+        """
+        lengths = np.array([len(ex.visit_codes) for ex in examples])
+        firsts = np.cumsum(lengths) - lengths
+        h = self.config.gru_hidden
+        buckets = []
+        for steps in np.unique(lengths):
+            members = np.flatnonzero(lengths == steps)
+            n = members.size
+            _, alpha, o_v = self.encode_visits(leaves, visits,
+                                               firsts[members, None] + np.arange(steps))
+            o_v_rows = ad.reshape(o_v, (n, h))
+            if self.config.use_notes:
+                notes = [self.note_attention(leaves, examples[i].note_tokens,
+                                             ad.gather_rows(o_v_rows, b))
+                         for b, i in enumerate(members)]
+                note_alpha = [a for a, _ in notes]
+                o_n = ad.stack([o for _, o in notes])
+            else:
+                note_alpha, o_n = [None] * n, ad.constant(np.zeros((n, h)))
+            out = ad.reshape(ad.concat(o_v_rows, o_n, axis=1), (n, 1, 2 * h))
+            logits = ad.add(ad.matmul(out, leaves["head_weight"]), leaves["head_bias"])
+            buckets.append(PatientBucket(members, alpha, o_v, note_alpha, ad.sigmoid(logits)))
+        return buckets
 
     def predict_examples(self, examples: list[PatientExample]):
-        """Frozen-feature scores and note attention for each patient, whose
-        visits are pooled in one op."""
+        """Frozen-feature scores and note attention for each patient, run in
+        chunks of ``config.batch_size`` patients: each chunk's visits are
+        pooled in one op and encoded as one batch."""
         if self.frozen_code_repr is None:
             raise RuntimeError("freeze_code_embeddings() must run before inference")
         leaves = self._constants()
-        visits = self.pool_visits(ad.constant(self.frozen_code_repr), examples)
-        out, first = [], 0
-        for ex in examples:
-            y_hat, note_alpha = self.patient_forward(leaves, visits, first, ex)
-            first += len(ex.visit_codes)
-            out.append((y_hat.values.copy(),
-                        None if note_alpha is None else note_alpha.values.copy()))
+        frozen = ad.constant(self.frozen_code_repr)
+        out = [None] * len(examples)
+        for start in range(0, len(examples), self.config.batch_size):
+            chunk = examples[start:start + self.config.batch_size]
+            for bucket in self.patient_forward(leaves, self.pool_visits(frozen, chunk), chunk):
+                for b, i in enumerate(bucket.members):
+                    alpha = bucket.note_alpha[b]
+                    out[start + i] = (bucket.y_hat.values[b, 0].copy(),
+                                      None if alpha is None else alpha.values.copy())
         return out
-
-    def predict_example(self, example: PatientExample):
-        """Frozen-feature scores and note attention for one patient."""
-        return self.predict_examples([example])[0]
 
 
 class CollaborativeGraphModel(FrozenScorer):
@@ -471,29 +519,31 @@ class CollaborativeGraphModel(FrozenScorer):
 
     @staticmethod
     def _cross_entropy(y_hat: ad.Tensor, y: np.ndarray) -> ad.Tensor:
+        """Mean cross-entropy over the last axis: one value per patient of a stack."""
         if y_hat.values.shape != y.shape:
             raise ValueError(f"prediction shape {y_hat.values.shape} != label shape {y.shape}")
         clamped = ad.clamp(y_hat, CLAMP_EPS, 1.0 - CLAMP_EPS)
         term = ad.add(ad.mul(ad.constant(y), ad.log(clamped)),
                       ad.mul(ad.constant(1.0 - y), ad.log(ad.sub(1.0, clamped))))
-        return ad.mul(ad.reduce_mean(term), -1.0)
+        return ad.mul(ad.reduce_mean(term, axis=-1), -1.0)
 
     def batch_loss(self, leaves, h_c: ad.Tensor, examples: list[PatientExample]):
-        """Mean cross-entropy plus weighted mean note penalty over a batch."""
+        """Mean cross-entropy plus weighted mean note penalty over a batch.
+
+        The per-patient terms are summed in batch order, left to right, as a
+        running sum over the patients would.
+        """
         if not examples:
             raise ValueError("empty batch")
-        ce_sum = None
-        pen_sum = None
-        visits = self.pool_visits(h_c, examples)
-        first = 0
-        for ex in examples:
-            y_hat, note_alpha = self.patient_forward(leaves, visits, first, ex)
-            first += len(ex.visit_codes)
-            ce = self._cross_entropy(y_hat, ex.label_vec)
-            pen = rectified_penalty(note_alpha, ex.beta) if self.config.use_notes \
-                else ad.constant(0.0)
-            ce_sum = ce if ce_sum is None else ad.add(ce_sum, ce)
-            pen_sum = pen if pen_sum is None else ad.add(pen_sum, pen)
+        buckets = self.patient_forward(leaves, self.pool_visits(h_c, examples), examples)
+        ce = [self._cross_entropy(b.y_hat, np.stack([examples[i].label_vec
+                                                     for i in b.members])[:, None])
+              for b in buckets]
+        pen = [rectified_penalty(alpha, examples[i].beta)
+               for b in buckets for i, alpha in zip(b.members, b.note_alpha)]
+        order = np.argsort(np.concatenate([b.members for b in buckets]))
+        ce_sum = ad.fold_sum(ce, order=order)
+        pen_sum = ad.fold_sum(pen, order=order)
         n = float(len(examples))
         ce_mean = ad.mul(ce_sum, 1.0 / n)
         pen_mean = ad.mul(pen_sum, 1.0 / n)

@@ -377,6 +377,75 @@ def test_gather_rows_vector_scatter_adds():
     assert np.array_equal(vec.grad, [10.0, 0.0, 101.0])
 
 
+def test_gather_rows_index_shape_gives_output_shape():
+    """A (B, 1) index array gives a (B, 1, d) stack and a 0-d index one row;
+    the gradient scatters back as for the flat indices."""
+    rng = np.random.default_rng(23)
+    table0 = rng.normal(size=(4, 3))
+    tape = ad.Tape()
+    table = tape.leaf(table0)
+    stacked = ad.gather_rows(table, np.array([[2], [0], [2]]))
+    assert np.array_equal(stacked.values, table0[[2, 0, 2]][:, None, :])
+    row = ad.gather_rows(table, np.intp(3))
+    assert np.array_equal(row.values, table0[3])
+    w = rng.normal(size=(3, 1, 3))
+    ad.add(ad.reduce_sum(ad.mul(stacked, w)), ad.reduce_sum(row)).backward()
+    want = np.zeros((4, 3))
+    want[0] = w[1, 0]
+    want[2] = w[0, 0] + w[2, 0]
+    want[3] = 1.0
+    assert np.allclose(table.grad, want, rtol=0, atol=1e-15)
+    with pytest.raises(IndexError, match="4"):
+        ad.gather_rows(table0, np.array([[1], [4]]))
+
+
+def test_stack_values_and_gradient_vs_fd():
+    rng = np.random.default_rng(29)
+    parts0 = [rng.normal(size=(2, 3)) for _ in range(3)]
+    w = rng.normal(size=(3, 2, 3))
+
+    def loss_of(k):
+        return lambda arr: float(np.sum(np.tanh(np.stack(
+            [arr if i == k else p for i, p in enumerate(parts0)])) * w))
+
+    tape = ad.Tape()
+    parts = [tape.leaf(p) for p in parts0[:2]] + [ad.constant(parts0[2])]
+    out = ad.stack(parts)
+    assert np.array_equal(out.values, np.stack(parts0))
+    ad.reduce_sum(ad.mul(ad.tanh(out), w)).backward()
+    for k in range(2):
+        assert rel_err(parts[k].grad, fd_grad(loss_of(k), parts0[k].copy())) < 1e-6
+    assert ad.stack([ad.constant(p) for p in parts0]).tape is None
+    with pytest.raises(ad.DimensionError, match="equal shapes"):
+        ad.stack([np.ones(2), np.ones(3)])
+    with pytest.raises(ValueError):
+        ad.stack([])
+
+
+def test_fold_sum_is_a_left_fold():
+    """The bits of a chain of scalar adds, in the given order, where a
+    pairwise sum differs; every entry's gradient is the output's."""
+    order = np.random.default_rng(31).permutation(20)
+    flat = np.array([1.0] + [1e-16] * 19)  # each tiny term alone rounds away
+    entries = np.empty(20)
+    entries[order] = flat
+    parts0 = list(entries.reshape(5, 4, 1))
+    chain = functools.reduce(lambda acc, v: ad.add(acc, v), [ad.constant(v) for v in flat])
+    tape = ad.Tape()
+    parts = [tape.leaf(p) for p in parts0]
+    total = ad.fold_sum(parts, order=order)
+    assert total.shape == ()
+    assert total.values.tobytes() == chain.values.tobytes()
+    assert total.item() == 1.0 < flat.sum()  # a pairwise sum keeps the tiny terms
+    ad.mul(total, 3.0).backward()
+    assert all(np.array_equal(p.grad, np.full((4, 1), 3.0)) for p in parts)
+    assert ad.fold_sum([np.array(2.0), np.array(0.5)]).item() == 2.5
+    with pytest.raises(ValueError, match="permutation"):
+        ad.fold_sum(parts0, order=np.zeros(20, dtype=np.intp))
+    with pytest.raises(ValueError):
+        ad.fold_sum([])
+
+
 def test_reshape_gradient():
     tape = ad.Tape()
     x = tape.leaf(np.arange(6.0))

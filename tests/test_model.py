@@ -318,13 +318,18 @@ def test_visit_embedding_cases():
         pool(h_c, np.array([], dtype=np.intp))
 
 
+def encode_one(m, xs):
+    """``encode_visits`` for one patient whose visits are the rows of ``xs``."""
+    return m.encode_visits(m._constants(), ad.constant(xs), np.arange(len(xs))[None, :])
+
+
 def test_single_visit_attention_is_identity():
     prob = build_problem()
     m = prob.model
-    vec = ad.constant(np.random.default_rng(7).normal(size=(1, prob.config.code_layer_dims[-1])))
-    rows, alpha, o_v = m.encode_visits(m._constants(), [vec])
-    assert np.array_equal(alpha.values, [1.0])
-    assert np.array_equal(o_v.values, rows.values[0])
+    vec = np.random.default_rng(7).normal(size=(1, prob.config.code_layer_dims[-1]))
+    rows, alpha, o_v = encode_one(m, vec)
+    assert np.array_equal(alpha.values, [[1.0]])
+    assert np.array_equal(o_v.values[0], rows.values[0])
 
 
 def test_zero_gru_weights_give_zero_states():
@@ -333,8 +338,7 @@ def test_zero_gru_weights_give_zero_states():
     for name in m.params.arrays:
         if name.startswith("gru_"):
             m.params.arrays[name][:] = 0.0
-    vecs = [ad.constant(np.ones((1, prob.config.code_layer_dims[-1]))) for _ in range(3)]
-    rows, alpha, o_v = m.encode_visits(m._constants(), vecs)
+    rows, alpha, o_v = encode_one(m, np.ones((3, prob.config.code_layer_dims[-1])))
     assert np.all(rows.values == 0.0)
     assert np.all(o_v.values == 0.0)
     assert np.allclose(alpha.values, 1 / 3)
@@ -352,24 +356,23 @@ def test_gru_single_step_matches_gate_oracle():
         m.params.arrays[f"gru_state_{gate}"][:] = rng.normal(size=(2, 2))
         m.params.arrays[f"gru_bias_{gate}"][:] = rng.normal(size=2)
     x = rng.normal(size=2)
-    rows, _, _ = m.encode_visits(m._constants(), [ad.constant(x[None, :])])
+    rows, _, _ = encode_one(m, x[None, :])
     a = m.params.arrays
     z = SIG(x @ a["gru_in_update"] + a["gru_bias_update"])
     n = np.tanh(x @ a["gru_in_cand"] + a["gru_bias_cand"])
     expected = (1.0 - z) * n
-    assert np.max(np.abs(rows.values[0] - expected)) < 1e-10
+    assert np.max(np.abs(rows.values[0, 0] - expected)) < 1e-10
 
 
 def test_attention_convexity():
     prob = build_problem()
     m = prob.model
     rng = np.random.default_rng(13)
-    vecs = [ad.constant(rng.normal(size=(1, prob.config.code_layer_dims[-1]))) for _ in range(4)]
-    rows, alpha, o_v = m.encode_visits(m._constants(), vecs)
+    rows, alpha, o_v = encode_one(m, rng.normal(size=(4, prob.config.code_layer_dims[-1])))
     assert abs(alpha.values.sum() - 1.0) < 1e-12
     assert np.all(alpha.values >= 0)
-    mix = alpha.values @ rows.values
-    assert np.max(np.abs(o_v.values - mix)) < 1e-12
+    mix = alpha.values[0] @ rows.values[0]
+    assert np.max(np.abs(o_v.values[0, 0] - mix)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +447,7 @@ def test_zero_head_gives_half_scores():
     m.params.arrays["head_weight"][:] = 0.0
     m.params.arrays["head_bias"][:] = 0.0
     m.freeze_code_embeddings()
-    scores, _ = m.predict_example(prob.examples[0])
+    [(scores, _)] = m.predict_examples(prob.examples[:1])
     assert scores.shape == (m.n_codes,)  # diagnosis scores cover every code
     assert np.all(scores == 0.5)
 
@@ -466,19 +469,19 @@ def test_unknown_feature_code_names_code_and_patient():
 def test_inference_before_freeze_rejected():
     prob = build_problem()
     with pytest.raises(RuntimeError):
-        prob.model.predict_example(prob.examples[0])
+        prob.model.predict_examples(prob.examples[:1])
 
 
 def test_frozen_inference_matches_infer_mode_graph_pass():
     prob = build_problem()
     m = prob.model
     model.fit(m, prob.examples, seed=0, epochs=2)
-    frozen_scores, _ = m.predict_example(prob.examples[0])
+    [(frozen_scores, _)] = m.predict_examples(prob.examples[:1])
     leaves = m._constants()
     h_c = m.graph_forward(leaves, mode="infer", update_stats=False)
-    y_hat, _ = m.patient_forward(leaves, m.pool_visits(h_c, prob.examples[:1]), 0,
-                                 prob.examples[0])
-    assert np.max(np.abs(frozen_scores - y_hat.values)) < 1e-9
+    [bucket] = m.patient_forward(leaves, m.pool_visits(h_c, prob.examples[:1]),
+                                 prob.examples[:1])
+    assert np.max(np.abs(frozen_scores - bucket.y_hat.values[0, 0])) < 1e-9
 
 
 def test_cross_entropy_at_clamp_bounds():
@@ -503,11 +506,11 @@ def test_batch_loss_matches_direct_formula():
     ce_vals, pen_vals = [], []
     eps = model.CLAMP_EPS
     for ex in prob.examples:
-        y_hat, note_alpha = m.patient_forward(leaves2, m.pool_visits(h_c2, [ex]), 0, ex)
-        p = np.clip(y_hat.values, eps, 1 - eps)
+        [bucket] = m.patient_forward(leaves2, m.pool_visits(h_c2, [ex]), [ex])
+        p = np.clip(bucket.y_hat.values[0, 0], eps, 1 - eps)
         y = ex.label_vec
         ce_vals.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
-        a = note_alpha.values
+        a = bucket.note_alpha[0].values
         pen_vals.append(float(-np.sum(a * np.log(ex.beta) + (1 - a) * np.log1p(-ex.beta))))
     want = np.mean(ce_vals) + lam * np.mean(pen_vals)
     assert abs(loss.item() - want) < 1e-12
@@ -527,7 +530,7 @@ def test_heart_failure_task_scalar_output():
     prob = build_problem(task="heart_failure")
     m = prob.model
     model.fit(m, prob.examples, seed=0, epochs=1)
-    scores, _ = m.predict_example(prob.examples[0])
+    [(scores, _)] = m.predict_examples(prob.examples[:1])
     assert scores.shape == (1,)
     labels = np.array([ex.label_vec[0] for ex in prob.examples])
     assert np.array_equal(labels, [1.0, 1.0, 0.0, 0.0])  # from the HF prefix

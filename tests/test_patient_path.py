@@ -1,0 +1,188 @@
+"""The bucketed patient path against the per-patient oracle.
+
+``FrozenScorer.patient_forward`` runs all patients of a batch that share a
+visit count T as one stack: the GRU on (B, 1, .) operands, the location
+attention on (B, T) and the head on (B, 1, 2h). numpy runs a stacked product
+item by item with the kernel of a lone matrix, so every forward bit must equal
+the per-patient path of ``per_patient_path.py``: each patient's scores, o_v,
+location attention and note attention, the batch loss and the predicted
+scores. The gradients sum the stacked rows in another order, so they must
+equal the oracle's to 1e-10.
+"""
+
+import functools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import per_patient_path as oracle
+from cgl import autodiff as ad
+from cgl.model import predict_scores
+from problem_fixtures import build_problem
+
+
+def close(a, b, tol=1e-10):
+    """Equal to ``tol``, relative to the largest magnitude in ``b`` when it exceeds 1."""
+    scale = max(np.max(np.abs(b), initial=0.0), 1.0)
+    return np.max(np.abs(np.asarray(a) - b), initial=0.0) <= tol * scale
+
+
+def assert_forward_matches(net, leaves, h_c, batch):
+    """Every patient's outputs from the buckets equal the oracle's, bit for bit."""
+    visits = net.pool_visits(h_c, batch)
+    want = oracle.forward_each(net, leaves, visits, batch)
+    buckets = net.patient_forward(leaves, visits, batch)
+    seen = np.sort(np.concatenate([b.members for b in buckets]))
+    assert np.array_equal(seen, np.arange(len(batch)))
+    for bucket in buckets:
+        steps = bucket.alpha.shape[1]
+        for b, i in enumerate(bucket.members):
+            y_hat, note_alpha, alpha, o_v = want[i]
+            assert len(batch[i].visit_codes) == steps
+            assert np.array_equal(bucket.y_hat.values[b, 0], y_hat.values), i
+            assert np.array_equal(bucket.o_v.values[b, 0], o_v.values), i
+            assert np.array_equal(bucket.alpha.values[b], alpha.values), i
+            if note_alpha is None:
+                assert bucket.note_alpha[b] is None
+            else:
+                assert np.array_equal(bucket.note_alpha[b].values, note_alpha.values), i
+
+
+def assert_loss_and_gradients_match(net, batch):
+    loss, leaves = net.loss_program(batch)()
+    want, want_leaves = oracle.loss_program(net, batch)()
+    assert loss.values.tobytes() == want.values.tobytes()
+    loss.backward()
+    want.backward()
+    for name, leaf in want_leaves.items():
+        assert close(leaves[name].grad, leaf.grad), name
+
+
+def assert_predictions_match(net, scored):
+    """Chunked scoring equals the oracle's one-block scoring, bit for bit."""
+    want = oracle.predict_examples(net, scored)
+    got = net.predict_examples(scored)
+    assert predict_scores(net, scored).tobytes() == np.stack([s for s, _ in want]).tobytes()
+    for (scores, alpha), (want_scores, want_alpha) in zip(got, want):
+        assert scores.tobytes() == want_scores.tobytes()
+        assert (alpha is None) == (want_alpha is None)
+        if alpha is not None:
+            assert alpha.tobytes() == want_alpha.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fixture-diagnosis", "fixture-heart_failure",
+                                  "train-small", "train-wide"])
+def test_buckets_match_the_per_patient_path(problems, name):
+    net, batch, scored = problems[name]
+    leaves = net._constants()
+    h_c = net.graph_forward(leaves, mode="train", update_stats=True)
+    assert_forward_matches(net, leaves, h_c, batch)
+    assert_loss_and_gradients_match(net, batch)
+    net.freeze_code_embeddings()
+    assert_predictions_match(net, scored)
+
+
+# ---------------------------------------------------------------------------
+# bucket mixes on the desk-size fixture
+
+
+@functools.cache
+def fixture_net(task, notes):
+    """The desk-size problem of ``task``, its model with batch-norm statistics
+    so that it can score, built once per configuration; the tests only read it."""
+    extra = {} if notes else dict(use_notes=False, note_loss_weight=0.0)
+    prob = build_problem(task=task, seed=2, **extra)
+    prob.model.graph_forward(prob.model._constants(), mode="train", update_stats=True)
+    prob.model.freeze_code_embeddings()
+    return prob
+
+
+def mixed_batch(prob, patients, seed):
+    """One example per ``(visits, note tokens)`` pair, built on the fixture's
+    examples: random visits over the fixture's codes and a random note."""
+    rng = np.random.default_rng(seed)
+    n_codes, n_words = prob.model.n_codes, len(prob.vocab)
+    out = []
+    for k, (visits, tokens) in enumerate(patients):
+        codes = [np.unique(rng.integers(0, n_codes, size=rng.integers(1, 4)))
+                 for _ in range(visits)]
+        out.append(replace(prob.examples[k % len(prob.examples)], visit_codes=codes,
+                           note_tokens=rng.integers(0, n_words, size=tokens),
+                           beta=rng.uniform(0.05, 0.95, size=tokens)))
+    return out
+
+
+patient_mixes = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10)),
+                         min_size=1, max_size=9)
+
+
+@given(patients=patient_mixes, task=st.sampled_from(["diagnosis", "heart_failure"]),
+       notes=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(patients=[(3, 4)] * 6, task="diagnosis", notes=True, seed=0)  # one T alone
+@example(patients=[(t, 3) for t in (1, 2, 3, 4, 5, 3, 1, 5)], task="diagnosis",
+         notes=True, seed=1)  # every T mixed
+@example(patients=[(1, 2), (4, 9), (2, 0)], task="heart_failure", notes=True,
+         seed=2)  # one-patient buckets
+@example(patients=[(2, 0), (1, 0), (2, 5), (2, 0)], task="diagnosis", notes=True,
+         seed=3)  # empty notes
+@example(patients=[(2, 3), (1, 0), (2, 8)], task="diagnosis", notes=False, seed=4)
+def test_bucket_mixes_match_the_per_patient_path(patients, task, notes, seed):
+    prob = fixture_net(task, notes)
+    net = prob.model
+    batch = mixed_batch(prob, patients, seed)
+    leaves = net._constants()
+    assert_forward_matches(net, leaves, ad.constant(net.frozen_code_repr), batch)
+    assert_loss_and_gradients_match(net, batch)
+    assert_predictions_match(net, batch)
+
+
+# ---------------------------------------------------------------------------
+# the stacked product the path rests on
+
+
+@given(seed=st.integers(0, 2**32 - 1), items=st.integers(1, 5), m=st.integers(1, 3),
+       k=st.integers(1, 5), n=st.integers(0, 4), right=st.sampled_from(["shared", "stacked"]))
+def test_stacked_matmul_equals_per_item_matmuls(seed, items, m, k, n, right):
+    """``(B, m, k) @ (k, n)`` and ``(B, m, k) @ (B, k, n)`` against B separate
+    products: equal values and left gradients bit for bit, and the shared right
+    operand's gradient, a sum over the items, to 1e-12. ``n == 0`` is a 1-d
+    shared right operand."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(items, m, k))
+    if right == "stacked":
+        b = rng.normal(size=(items, k, max(n, 1)))
+    else:
+        b = rng.normal(size=(k, n) if n else (k,))
+    w = rng.normal(size=np.matmul(a, b).shape)
+
+    tape = ad.Tape()
+    a_leaf, b_leaf = tape.leaf(a), tape.leaf(b)
+    out = ad.matmul(a_leaf, b_leaf)
+    ad.reduce_sum(ad.mul(out, w)).backward()
+
+    for i in range(items):
+        tape = ad.Tape()
+        a_i = tape.leaf(a[i])
+        b_i = tape.leaf(b[i] if right == "stacked" else b)
+        out_i = ad.matmul(a_i, b_i)
+        assert np.array_equal(out.values[i], out_i.values)
+        ad.reduce_sum(ad.mul(out_i, w[i])).backward()
+        assert np.array_equal(a_leaf.grad[i], a_i.grad)
+        if right == "stacked":
+            assert np.array_equal(b_leaf.grad[i], b_i.grad)
+        else:
+            b_sum = b_i.grad if i == 0 else b_sum + b_i.grad
+    if right == "shared":
+        assert np.allclose(b_leaf.grad, b_sum, rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_matmul_rejects_bad_stacks():
+    with pytest.raises(ad.DimensionError, match="stacked"):
+        ad.matmul(np.ones((2, 3)), np.ones((2, 3, 4)))
+    with pytest.raises(ad.DimensionError, match="stacked"):
+        ad.matmul(np.ones((2, 1, 3)), np.ones((3, 3, 4)))
+    with pytest.raises(ad.DimensionError, match="disagree"):
+        ad.matmul(np.ones((2, 1, 3)), np.ones((4, 2)))

@@ -1,11 +1,11 @@
 """Visit pooling as one op, and what one training step leaves on the tape.
 
-A batch pools all its visits with one ``group_mean`` over the code features
-and reads each visit back with one row gather; the scorer does the same for
-one patient. Per visit, that replaces a gather, a mean and a reshape. The
-pooled rows and the gradient into the code features must equal the per-visit
-ops' bit for bit on the desk-size fixture and on corpora of both training
-workloads' shapes.
+A batch pools all its visits with one ``group_mean`` over the code features;
+the scorer does the same for each chunk of scored patients. Per visit, that
+replaces a gather, a mean and a reshape. The pooled rows and the gradient into
+the code features must equal the per-visit ops' bit for bit on the desk-size
+fixture and on corpora of both training workloads' shapes (the ``problems``
+fixture of ``conftest.py``).
 """
 
 import gc
@@ -14,39 +14,9 @@ import numpy as np
 import pytest
 
 from cgl import autodiff as ad
-from cgl.data import GeneratorConfig, generate_synthetic, load_dataset
-from cgl.experiment import TrainSettings, assemble
-from cgl.model import CollaborativeGraphModel, ModelConfig, predict_scores
-from cgl.ontology import load_ontology
-from problem_fixtures import build_problem
-from test_acceptance import CLUSTER_CORPUS, cluster_model_config
+from cgl.model import predict_scores
+from per_patient_path import predict_examples as predict_one_by_one
 from test_ops_oracle import assert_group_mean_matches, per_group_oracle
-
-# The train-small and train-wide workloads: corpus, split and model config.
-WORKLOADS = {
-    "train-small": (CLUSTER_CORPUS, (210, 30, 60), cluster_model_config()),
-    "train-wide": (GeneratorConfig(roots=6, branching=4, levels=5, patients=1500),
-                   (1050, 150, 300), ModelConfig()),
-}
-
-
-@pytest.fixture(scope="module")
-def problems(tmp_path_factory):
-    """Per problem: the model, a training batch and examples to score."""
-    out = {}
-    for task in ("diagnosis", "heart_failure"):
-        prob = build_problem(task=task, seed=1)
-        out[f"fixture-{task}"] = (prob.model, prob.examples, prob.examples)
-    for name, (corpus, split, config) in WORKLOADS.items():
-        path = tmp_path_factory.mktemp(name)
-        generate_synthetic(corpus, seed=1, out_dir=path)
-        settings = TrainSettings(seed=1, split_counts=split, config=config)
-        prob = assemble(load_dataset(path / "dataset.jsonl"),
-                        load_ontology(path / "ontology.tsv"), settings)
-        net = CollaborativeGraphModel(config, prob.tree, prob.observation, prob.adjacency,
-                                      len(prob.vocab), seed=prob.seeds.init)
-        out[name] = (net, prob.examples["train"][:32], prob.examples["test"])
-    return out
 
 
 @pytest.mark.parametrize("name", ["fixture-diagnosis", "fixture-heart_failure",
@@ -60,7 +30,7 @@ def test_pooling_matches_per_visit_gather_and_mean(problems, name):
     w = np.random.default_rng(3).normal(size=(len(groups), 1, h_c.shape[1]))
     assert_group_mean_matches(h_c, groups, w)
 
-    # the predict path pools on the frozen features, one patient or a batch
+    # the predict path pools on the frozen features, one patient or a chunk
     # at a time, with the same bits
     net.freeze_code_embeddings()
     frozen = ad.constant(net.frozen_code_repr)
@@ -68,7 +38,7 @@ def test_pooling_matches_per_visit_gather_and_mean(problems, name):
         rows = per_group_oracle(frozen, ex.visit_codes)
         assert np.array_equal(net.pool_visits(frozen, [ex]).values,
                               np.concatenate([r.values for r in rows]))
-    one_by_one = np.stack([net.predict_example(ex)[0] for ex in scored])
+    one_by_one = np.stack([scores for scores, _ in predict_one_by_one(net, scored)])
     assert predict_scores(net, scored).tobytes() == one_by_one.tobytes()
 
 
@@ -87,7 +57,13 @@ def test_train_small_step_records_fewer_and_lighter_entries(problems):
     entries = len(loss.tape._entries)
     visits = sum(len(ex.visit_codes) for ex in batch)
     assert visits == 81
-    # 2,876 with a gather, a mean and a reshape per visit; now one pooling op
-    # per batch and one row gather per visit
-    assert entries == 2876 - 3 * visits + 1 + visits == 2715
+    steps = {len(ex.visit_codes) for ex in batch}
+    assert steps == {1, 2, 3, 4}
+    # 2,876 with a gather, a mean and a reshape per visit, and 2,715 with one
+    # pooling op but a GRU step per visit. Now the patients of each visit count
+    # form a bucket that runs as one stack: 35 entries of graph side and
+    # pooling; 21 per stacked GRU step (1 + 2 + 3 + 4 steps) and a concat per
+    # later step; 20 per bucket for location attention, head and cross-entropy;
+    # 12 per patient for note attention and penalty; 6 for the sums and loss.
+    assert entries == 35 + 21 * 10 + 6 + 20 * len(steps) + 12 * len(batch) + 6 == 721
     assert kept <= 5 * entries, f"{kept / entries:.2f} tracked objects per entry"

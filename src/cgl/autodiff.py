@@ -74,6 +74,11 @@ __all__ = [
 _FLOAT64 = np.dtype(np.float64)
 _node_id = attrgetter("node_id")
 
+# Column block width of a stacked vector-matrix product (see matmul). A block
+# of a 400-row right operand is 400 x 256 float64 = 800 KB, which stays in a
+# 2 MB L2 cache while every item of the stack reads it.
+COLUMN_BLOCK = 256
+
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
@@ -401,6 +406,18 @@ def matmul(a, b) -> Tensor:
     as on a lone matrix, so a stacked product has the bits of B separate ones;
     the row-batched ``(B*m, k) @ (k, n)`` does not. The shared right operand's
     gradient is one deferred contribution over all B*m stacked rows.
+
+    A stack of B > 1 row vectors, ``(B, 1, k) @ (k, n)``, with n above two
+    blocks of ``COLUMN_BLOCK`` runs one column block at a time, so all B items
+    read each block from cache instead of the whole right operand each. With
+    one BLAS thread (``CGL_THREADS=1``) this keeps the bits: each item still
+    runs its own GEMV on the same columns, and the GEMV kernel forms each
+    output column from that column's k entries alone, in the same order. The
+    last block takes the remainder, so no block is one column wide, where
+    numpy would call a dot product instead of a GEMV. Several BLAS threads
+    split a GEMV's columns by the call's width, so there a column's last bits
+    can depend on the blocking. Stacks of matrices (m > 1) take GEMM, whose
+    tiling depends on n, and are not blocked.
     """
     a, b = _lift(a), _lift(b)
     av, bv = a.values, b.values
@@ -413,13 +430,26 @@ def matmul(a, b) -> Tensor:
     b2 = bv if bv.ndim > 1 else bv[:, None]
     if a2.shape[-1] != b2.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
-    out = a2 @ b2
+    out = _product(a2, b2)
     if av.ndim == 1:
         out = out[0]
     if bv.ndim == 1:
         out = out[..., 0]
     return _emit(_tape_of(a, b), out, (a, b), _matmul_backward,
                  av, bv, a2, b2, a.tracked, b.tracked)
+
+
+def _product(a2, b2):
+    """``a2 @ b2``, column block by column block for a wide stack of row vectors."""
+    n = b2.shape[-1]
+    if not (a2.ndim == 3 and b2.ndim == 2 and a2.shape[0] > 1 and a2.shape[1] == 1
+            and n > 2 * COLUMN_BLOCK):
+        return a2 @ b2
+    out = np.empty((a2.shape[0], 1, n))
+    bounds = [*range(0, n - COLUMN_BLOCK, COLUMN_BLOCK), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(a2, b2[:, lo:hi], out=out[:, :, lo:hi])
+    return out
 
 
 def _matmul_backward(av, bv, a2, b2, need_a, need_b, g):

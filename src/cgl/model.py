@@ -25,9 +25,11 @@ One forward pass:
    toward per-note TF-IDF targets by a rectification penalty added to the
    loss.
 5. A sigmoid head on [o_v, o_n] scores all codes (or the binary event), one
-   (B, 1, 2h) stack per bucket, and the loss is mean cross-entropy plus the
-   weighted penalty, each summed over the patients in batch order, left to
-   right.
+   (B, 1, 2h) stack per bucket; at thousands of codes the stack runs one
+   cache-sized column block of the head weight at a time (``autodiff.matmul``).
+   The loss is mean cross-entropy plus the weighted penalty, each summed over
+   the patients in batch order, left to right. Evaluation ranks the scores
+   with one top-k selection, ``metrics.top_codes``, shared by every k.
 
 Inference freezes the trained code features and re-runs only steps 3-5, so
 patients outside the training graph need no patient embedding. Those steps
@@ -610,23 +612,23 @@ def predict_scores(model: FrozenScorer, examples: list[PatientExample]) -> np.nd
 
 def compute_metrics(scores: np.ndarray, examples: list[PatientExample], task: str,
                     ks=(20, 40), include_onset: bool = False,
-                    ranks: np.ndarray | None = None) -> dict[str, float]:
-    """The task's metrics; every top-k recall reuses one ranking of the scores.
+                    top: np.ndarray | None = None) -> dict[str, float]:
+    """The task's metrics; every top-k recall reads one top-k selection.
 
-    ``ranks`` is ``metrics.rank_codes(scores)`` when the caller already has it.
+    ``top`` is ``metrics.top_codes(scores, max(ks))`` when the caller already has it.
     """
     labels = np.stack([ex.label_vec for ex in examples])
     out: dict[str, float] = {}
     if task == "diagnosis":
-        if ranks is None:
-            ranks = metrics_mod.rank_codes(scores)
+        if top is None:
+            top = metrics_mod.top_codes(scores, max(ks, default=1))
         out["wf1"] = metrics_mod.weighted_f1(scores, labels)
         for k in ks:
-            out[f"r{k}"] = metrics_mod.recall_at_k(scores, labels, k, ranks)
+            out[f"r{k}"] = metrics_mod.recall_at_k(scores, labels, k, top)
         if include_onset:
             occurred = np.stack([ex.occurred for ex in examples])
             for k in ks:
-                occ, new = metrics_mod.onset_split_recall(scores, labels, occurred, k, ranks)
+                occ, new = metrics_mod.onset_split_recall(scores, labels, occurred, k, top)
                 out[f"occurred_r{k}"] = occ
                 out[f"new_onset_r{k}"] = new
     else:

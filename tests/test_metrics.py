@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cgl import metrics
 
@@ -78,14 +81,29 @@ def brute_onset_split(scores, labels, occurred, k):
     return occ, new
 
 
+def rank_codes(scores):
+    """Each code's position in its row's descending score order, 0 first: the
+    full stable sort that top_codes replaced, kept as the oracle. Ties break
+    toward the lower index and NaN scores rank last."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(order.shape[-1]), axis=-1)
+    return ranks
+
+
+def sorted_top_k(row_scores, k):
+    """One row's k best codes, best first, from the full-sort oracle."""
+    return np.argsort(rank_codes(row_scores))[:k]
+
+
 def per_row_recall_at_k(scores, labels, k):
-    """The per-patient loop that rank_codes replaced, kept as the oracle."""
+    """The per-patient loop that the shared ranking replaced, kept as the oracle."""
     values = []
     for row_scores, row_labels in zip(scores, labels):
         positives = np.nonzero(row_labels)[0]
         if positives.size == 0:
             continue
-        top = metrics.top_k_indices(row_scores, k)
+        top = sorted_top_k(row_scores, k)
         values.append(np.intersect1d(top, positives).size / positives.size)
     return float(np.mean(values))
 
@@ -96,7 +114,7 @@ def per_row_onset_split(scores, labels, occurred, k):
         positives = np.nonzero(row_labels)[0]
         if positives.size == 0:
             continue
-        top = metrics.top_k_indices(row_scores, k)
+        top = sorted_top_k(row_scores, k)
         occ_set = positives[row_occ[positives] != 0]
         new_set = positives[row_occ[positives] == 0]
         if occ_set.size:
@@ -294,15 +312,60 @@ def test_ranked_metrics_bit_identical_to_per_row_loop():
         labels = (rng.random((n, c)) < 0.3).astype(float)
         labels[0, rng.integers(c)] = 1.0
         occurred = (rng.random((n, c)) < 0.5).astype(int)
-        ranks = metrics.rank_codes(scores)
+        top = metrics.top_codes(scores, c + 1)
         for k in range(1, c + 2):
             for i in range(n):
-                want = metrics.top_k_indices(scores[i], k)
-                assert np.array_equal(np.sort(want), np.nonzero(ranks[i] < k)[0])
+                assert np.array_equal(metrics.top_k_indices(scores[i], k),
+                                      sorted_top_k(scores[i], k))
             assert (metrics.recall_at_k(scores, labels, k)
-                    == metrics.recall_at_k(scores, labels, k, ranks)
+                    == metrics.recall_at_k(scores, labels, k, top)
                     == per_row_recall_at_k(scores, labels, k))
             want = per_row_onset_split(scores, labels, occurred, k)
             for got in (metrics.onset_split_recall(scores, labels, occurred, k),
-                        metrics.onset_split_recall(scores, labels, occurred, k, ranks)):
+                        metrics.onset_split_recall(scores, labels, occurred, k, top)):
                 assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# top-k selection against the full-sort oracle
+
+
+def oracle_top(scores, k):
+    """The codes whose oracle rank is below k, in rank order."""
+    return np.argsort(rank_codes(scores), axis=1)[:, :k]
+
+
+LEVELS = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan]
+
+
+@given(scores=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 30)),
+                         elements=st.sampled_from(LEVELS)),
+       k=st.integers(1, 35))
+@example(scores=np.full((1, 7), 0.5), k=3)                    # one row of equal scores
+@example(scores=np.full((4, 5), np.nan), k=2)                 # every score NaN
+@example(scores=np.array([[np.nan, 1.0, np.nan, 0.0]]), k=3)  # the k-th value is NaN
+@example(scores=np.array([[-np.inf, np.inf, np.nan, 0.0]]), k=1)
+@example(scores=np.array([[0.3, 0.1, 0.2]]), k=3)             # k == codes
+def test_top_codes_equals_full_sort_on_few_levels(scores, k):
+    got = metrics.top_codes(scores, k)
+    assert got.shape == (scores.shape[0], min(k, scores.shape[1]))
+    assert np.array_equal(got, oracle_top(scores, k))
+    assert np.array_equal(metrics.top_k_indices(scores[0], k), got[0])
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 3 * metrics.SELECT_ROWS),
+       codes=st.integers(1, 60), levels=st.integers(1, 1000))
+def test_top_codes_equals_full_sort_across_row_chunks(seed, rows, codes, levels):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=(rows, codes)) / levels
+    for k in (1, codes // 2 + 1, codes, codes + 5):
+        assert np.array_equal(metrics.top_codes(scores, k), oracle_top(scores, k))
+
+
+def test_top_codes_rejects_bad_input():
+    with pytest.raises(ValueError, match="at least 1"):
+        metrics.top_codes(np.zeros((2, 3)), 0)
+    with pytest.raises(ValueError, match="matrix"):
+        metrics.top_codes(np.zeros(3), 1)
+    with pytest.raises(ValueError, match="fewer than k"):
+        metrics.top_k_hits(metrics.top_codes(np.zeros((2, 5)), 2), np.ones((2, 5)), 3)

@@ -11,7 +11,12 @@ equal the oracle's to 1e-10.
 """
 
 import functools
+import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +182,55 @@ def test_stacked_matmul_equals_per_item_matmuls(seed, items, m, k, n, right):
             b_sum = b_i.grad if i == 0 else b_sum + b_i.grad
     if right == "shared":
         assert np.allclose(b_leaf.grad, b_sum, rtol=1e-12, atol=1e-12)
+
+
+def stacked_product_and_grads(a, b, w):
+    """Values and both gradients of ``sum(w * (a @ b))`` through one matmul."""
+    tape = ad.Tape()
+    a_leaf, b_leaf = tape.leaf(a), tape.leaf(b)
+    out = ad.matmul(a_leaf, b_leaf)
+    ad.reduce_sum(ad.mul(out, w)).backward()
+    return out.values, a_leaf.grad, b_leaf.grad
+
+
+def check_column_blocked_product(n):
+    """A wide (B, 1, k) @ (k, n) stack, run column block by column block,
+    equals B lone products bit for bit, and its values and both gradients
+    equal the unblocked op's. k is the default head's 2h = 400. A sliced right
+    operand is a column slice of a wider array, so it is not contiguous."""
+    width = ad.COLUMN_BLOCK
+    try:
+        for items, block, sliced in itertools.product([1, 2, 9, 33], [64, width],
+                                                      [False, True]):
+            rng = np.random.default_rng(n * 100 + items)
+            a = rng.normal(size=(items, 1, 400))
+            b = rng.normal(size=(400, n + 3))[:, 1:n + 1] if sliced else rng.normal(size=(400, n))
+            w = rng.normal(size=(items, 1, n))
+            ad.COLUMN_BLOCK = block
+            got = stacked_product_and_grads(a, b, w)
+            for i in range(items):
+                assert np.array_equal(got[0][i], ad.matmul(a[i], b).values), (items, block)
+            ad.COLUMN_BLOCK = 10 * n
+            want = stacked_product_and_grads(a, b, w)
+            for g, r in zip(got, want):
+                assert np.array_equal(g, r), (items, block, sliced)
+    finally:
+        ad.COLUMN_BLOCK = width
+
+
+@pytest.mark.parametrize("n", [81, 255, 256, 257, 1536, 1537, 5000])
+def test_column_blocked_head_product_keeps_every_bit(n):
+    """``check_column_blocked_product`` with one BLAS thread, in a fresh
+    process. Several BLAS threads split each GEMV's columns by its width, so
+    there a narrower call can round a column differently (see ``matmul``)."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "CGL_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    code = f"import test_patient_path as t; t.check_column_blocked_product({n})"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_stacked_matmul_rejects_bad_stacks():

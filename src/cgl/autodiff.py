@@ -609,15 +609,16 @@ def _row_indices(op: str, indices, n: int, flat: bool = True) -> np.ndarray:
 
 
 def gather_rows(table, indices) -> Tensor:
-    """Select rows of a 2-d table, or entries of a vector, as ``table[indices]``:
+    """Select rows of a table, or entries of a vector, as ``table[indices]``:
     the output has the shape of ``indices`` followed by a table row's shape, so
-    a (B, 1) index array gives a (B, 1, d) stack. Backward scatter-adds, so
-    repeated indices accumulate gradient. A table's scatter is deferred to the
-    tape; a vector's is one ``bincount``."""
+    a (B, 1) index array gives a (B, 1, d) stack, and a flat one on a (N, 1, d)
+    table gives one too. Backward scatter-adds, so repeated indices accumulate
+    gradient. A table's scatter is deferred to the tape; a vector's is one
+    ``bincount``."""
     table = _lift(table)
     tv = table.values
-    if tv.ndim not in (1, 2):
-        raise DimensionError(f"gather_rows needs a 1-d or 2-d table, got shape {tv.shape}")
+    if tv.ndim == 0:
+        raise DimensionError("gather_rows needs a table or a vector, got a scalar")
     idx = _row_indices("gather_rows", indices, tv.shape[0], flat=False)
     return _emit(table.tape, tv[idx], (table,), _gather_backward, tv, idx.ravel())
 
@@ -625,7 +626,7 @@ def gather_rows(table, indices) -> Tensor:
 def _gather_backward(tv, idx, g):
     if tv.ndim == 1:
         return (np.bincount(idx, weights=g.ravel(), minlength=tv.shape[0]),)
-    return (_Deferred(True, tv.shape, idx, g.reshape(idx.size, tv.shape[1])),)
+    return (_Deferred(True, tv.shape, idx, g.reshape(idx.size, *tv.shape[1:])),)
 
 
 def group_mean(table, groups) -> Tensor:

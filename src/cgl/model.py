@@ -21,9 +21,11 @@ One forward pass:
    with the kernel of a lone (1, d) product, where the row-batched
    (B, d) @ (d, h) would round differently.
 4. The latest note's word embeddings are projected and attended with o_v as
-   the context, one patient at a time; the attention weights are pulled
-   toward per-note TF-IDF targets by a rectification penalty added to the
-   loss.
+   the context; the attention weights are pulled toward per-note TF-IDF
+   targets by a rectification penalty added to the loss. The notes of a
+   batch with the same token count L form a stack, whose projection, scores,
+   softmax, summary o_n and penalty run on (B, L) operands, with the same
+   bits as one note alone.
 5. A sigmoid head on [o_v, o_n] scores all codes (or the binary event), one
    (B, 1, 2h) stack per bucket; at thousands of codes the stack runs one
    cache-sized column block of the head weight at a time (``autodiff.matmul``).
@@ -60,6 +62,7 @@ __all__ = [
     "CollaborativeGraphModel",
     "PatientExample",
     "PatientBucket",
+    "NoteStack",
     "AdamOptimizer",
     "TrainingDivergenceError",
     "default_note_loss_weight",
@@ -171,16 +174,24 @@ class PatientBucket:
     """The patients of a batch that share a visit count T, run as one stack.
 
     ``members`` are their positions in the batch, in batch order; ``alpha``
-    is the (B, T) location attention, ``o_v`` the (B, 1, h) visit summaries,
-    ``note_alpha`` each member's note attention (None for an empty note or
-    without notes) and ``y_hat`` the (B, 1, out) scores.
+    is the (B, T) location attention, ``o_v`` the (B, 1, h) visit summaries
+    and ``y_hat`` the (B, 1, out) scores.
     """
 
     members: np.ndarray
     alpha: ad.Tensor
     o_v: ad.Tensor
-    note_alpha: list[ad.Tensor | None]
     y_hat: ad.Tensor
+
+
+@dataclass
+class NoteStack:
+    """The non-empty notes of a batch that share a token count L, run as one
+    stack: ``members`` are their patients' positions, ``alpha`` the (B, 1, L)
+    note attention."""
+
+    members: np.ndarray
+    alpha: ad.Tensor
 
 
 def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray,
@@ -246,26 +257,25 @@ def aggregate(h_p, h_c, obs, obs_t, links, phi, w_code_to_patient, w_patient_to_
     return z_p, z_c
 
 
-def rectified_penalty(alpha: ad.Tensor | None, beta: np.ndarray) -> ad.Tensor:
-    """Cross-entropy-style pull of attention weights toward TF-IDF targets.
+def rectified_penalty(alpha: ad.Tensor, beta: np.ndarray) -> ad.Tensor:
+    """Cross-entropy-style pull of attention weights toward TF-IDF targets,
+    one term per note: the last axis holds a note's tokens, so a (B, 1, L)
+    stack gives (B, 1) terms and a lone (L,) note a scalar.
 
     The summed form -sum(alpha ln beta + (1 - alpha) ln(1 - beta)) is linear in
     alpha, so over the softmax simplex it is smallest with all the weight on
     the highest-beta token; it does not pull alpha toward beta itself.
 
     beta must already be clamped inside (0, 1). An empty note contributes 0.
+    Each stack row sums like a lone note, so a term has the bits of that note's.
     """
-    if alpha is None or beta.size == 0:
-        if alpha is not None and alpha.values.size != beta.size:
-            raise ValueError("attention and target lengths differ")
-        return ad.constant(0.0)
     if alpha.values.shape != beta.shape:
         raise ValueError(
-            f"attention length {alpha.values.shape} != target length {beta.shape}")
+            f"attention shape {alpha.values.shape} != target shape {beta.shape}")
     ln_b = ad.constant(np.log(beta))
     ln_1b = ad.constant(np.log1p(-beta))
     inner = ad.add(ad.mul(alpha, ln_b), ad.mul(ad.sub(1.0, alpha), ln_1b))
-    return ad.mul(ad.reduce_sum(inner), -1.0)
+    return ad.mul(ad.reduce_sum(inner, axis=-1), -1.0)
 
 
 class FrozenScorer:
@@ -339,47 +349,82 @@ class FrozenScorer:
         o_v = ad.matmul(ad.reshape(alpha, (n, 1, steps)), rows)
         return rows, alpha, o_v
 
-    def note_attention(self, leaves, token_idx: np.ndarray, o_v: ad.Tensor):
-        """Attention over projected word embeddings with o_v as context."""
-        if token_idx.size == 0:
-            return None, ad.constant(np.zeros(self.config.gru_hidden))
-        words = ad.gather_rows(leaves["word_embed"], token_idx)
-        projected = ad.matmul(words, leaves["word_proj"])
-        alpha = ad.softmax(ad.matmul(projected, o_v), axis=0)
-        o_n = ad.matmul(alpha, projected)
-        return alpha, o_n
+    def note_attention(self, leaves, notes: list[np.ndarray], o_v: ad.Tensor):
+        """Attention over each note's projected word embeddings, with row i of
+        the (N, h, 1) ``o_v`` as the context of ``notes[i]``.
 
-    def patient_forward(self, leaves, visits: ad.Tensor,
-                        examples: list[PatientExample]) -> list[PatientBucket]:
+        The notes of one token count L run as one stack: the (B, L, w) words
+        and their (B, L, w) @ (w, h) projection, the (B, L, h) @ (B, h, 1)
+        scores, the softmax over the last axis of (B, 1, L) and the
+        (B, 1, L) @ (B, L, h) summaries. numpy runs each item of a stacked
+        product with the kernel of a lone note's product, and sums each row of
+        the softmax as it sums a lone note, so every item keeps the bits of
+        its note run alone.
+
+        Returns the :class:`NoteStack` s in increasing L, whose ``members``
+        index ``notes``, and the (N, 1, h) summaries o_n, zero for an empty
+        note.
+        """
+        sizes = np.fromiter(map(len, notes), dtype=np.intp, count=len(notes))
+        h = self.config.gru_hidden
+        stacks, table = [], None
+        for length in np.unique(sizes[sizes > 0]):
+            members = np.flatnonzero(sizes == length)
+            words = ad.gather_rows(leaves["word_embed"], np.stack([notes[i] for i in members]))
+            proj = ad.matmul(words, leaves["word_proj"])
+            scores = ad.matmul(proj, ad.gather_rows(o_v, members))
+            alpha = ad.softmax(ad.reshape(scores, (members.size, 1, length)), axis=-1)
+            o_n = ad.matmul(alpha, proj)
+            table = o_n if table is None else ad.concat(table, o_n, axis=0)
+            stacks.append(NoteStack(members, alpha))
+        if not stacks:
+            return [], ad.constant(np.zeros((len(notes), 1, h)))
+        slot = np.full(len(notes), table.shape[0], dtype=np.intp)  # empty notes: a zero row
+        slot[np.concatenate([s.members for s in stacks])] = np.arange(table.shape[0])
+        if not sizes.all():
+            table = ad.concat(table, ad.constant(np.zeros((1, 1, h))), axis=0)
+        return stacks, ad.gather_rows(table, slot)
+
+    def patient_forward(self, leaves, visits: ad.Tensor, examples: list[PatientExample]
+                        ) -> tuple[list[PatientBucket], list[NoteStack]]:
         """Scores and note attention for a batch whose pooled visits are the
         rows of ``visits``, in ``pool_visits`` order.
 
         Patients with the same number of visits form one bucket, in increasing
         order of that number; the GRU, the location attention and the head run
-        once per bucket on stacks, the note attention once per patient.
+        once per bucket on stacks. Between them, ``note_attention`` runs once
+        for the whole batch. Returns the buckets and the note stacks, whose
+        ``members`` are batch positions (no stacks without notes).
         """
         lengths = np.array([len(ex.visit_codes) for ex in examples])
         firsts = np.cumsum(lengths) - lengths
         h = self.config.gru_hidden
-        buckets = []
+        encoded = []
         for steps in np.unique(lengths):
             members = np.flatnonzero(lengths == steps)
-            n = members.size
             _, alpha, o_v = self.encode_visits(leaves, visits,
                                                firsts[members, None] + np.arange(steps))
-            o_v_rows = ad.reshape(o_v, (n, h))
-            if self.config.use_notes:
-                notes = [self.note_attention(leaves, examples[i].note_tokens,
-                                             ad.gather_rows(o_v_rows, b))
-                         for b, i in enumerate(members)]
-                note_alpha = [a for a, _ in notes]
-                o_n = ad.stack([o for _, o in notes])
-            else:
-                note_alpha, o_n = [None] * n, ad.constant(np.zeros((n, h)))
-            out = ad.reshape(ad.concat(o_v_rows, o_n, axis=1), (n, 1, 2 * h))
-            logits = ad.add(ad.matmul(out, leaves["head_weight"]), leaves["head_bias"])
-            buckets.append(PatientBucket(members, alpha, o_v, note_alpha, ad.sigmoid(logits)))
-        return buckets
+            encoded.append((members, alpha, o_v))
+        stacks = []
+        if self.config.use_notes:
+            order = np.concatenate([members for members, _, _ in encoded])
+            o_v_all = encoded[0][2]
+            for _, _, o_v in encoded[1:]:
+                o_v_all = ad.concat(o_v_all, o_v, axis=0)
+            stacks, o_n_all = self.note_attention(
+                leaves, [examples[i].note_tokens for i in order],
+                ad.reshape(o_v_all, (order.size, h, 1)))
+            stacks = [NoteStack(order[s.members], s.alpha) for s in stacks]
+        buckets, start = [], 0
+        for members, alpha, o_v in encoded:
+            n = members.size
+            o_n = (ad.gather_rows(o_n_all, np.arange(start, start + n)) if self.config.use_notes
+                   else ad.constant(np.zeros((n, 1, h))))
+            start += n
+            logits = ad.add(ad.matmul(ad.concat(o_v, o_n, axis=2), leaves["head_weight"]),
+                            leaves["head_bias"])
+            buckets.append(PatientBucket(members, alpha, o_v, ad.sigmoid(logits)))
+        return buckets, stacks
 
     def predict_examples(self, examples: list[PatientExample]):
         """Frozen-feature scores and note attention for each patient, run in
@@ -389,15 +434,17 @@ class FrozenScorer:
             raise RuntimeError("freeze_code_embeddings() must run before inference")
         leaves = self._constants()
         frozen = ad.constant(self.frozen_code_repr)
-        out = [None] * len(examples)
+        scores, alphas = [None] * len(examples), [None] * len(examples)
         for start in range(0, len(examples), self.config.batch_size):
             chunk = examples[start:start + self.config.batch_size]
-            for bucket in self.patient_forward(leaves, self.pool_visits(frozen, chunk), chunk):
+            buckets, stacks = self.patient_forward(leaves, self.pool_visits(frozen, chunk), chunk)
+            for bucket in buckets:
                 for b, i in enumerate(bucket.members):
-                    alpha = bucket.note_alpha[b]
-                    out[start + i] = (bucket.y_hat.values[b, 0].copy(),
-                                      None if alpha is None else alpha.values.copy())
-        return out
+                    scores[start + i] = bucket.y_hat.values[b, 0].copy()
+            for stack in stacks:
+                for b, i in enumerate(stack.members):
+                    alphas[start + i] = stack.alpha.values[b, 0].copy()
+        return list(zip(scores, alphas))
 
 
 class CollaborativeGraphModel(FrozenScorer):
@@ -533,19 +580,25 @@ class CollaborativeGraphModel(FrozenScorer):
         """Mean cross-entropy plus weighted mean note penalty over a batch.
 
         The per-patient terms are summed in batch order, left to right, as a
-        running sum over the patients would.
+        running sum over the patients would; a patient without a note stack
+        adds a penalty term of 0.
         """
         if not examples:
             raise ValueError("empty batch")
-        buckets = self.patient_forward(leaves, self.pool_visits(h_c, examples), examples)
+        buckets, stacks = self.patient_forward(leaves, self.pool_visits(h_c, examples),
+                                               examples)
         ce = [self._cross_entropy(b.y_hat, np.stack([examples[i].label_vec
                                                      for i in b.members])[:, None])
               for b in buckets]
-        pen = [rectified_penalty(alpha, examples[i].beta)
-               for b in buckets for i, alpha in zip(b.members, b.note_alpha)]
-        order = np.argsort(np.concatenate([b.members for b in buckets]))
-        ce_sum = ad.fold_sum(ce, order=order)
-        pen_sum = ad.fold_sum(pen, order=order)
+        pen = [rectified_penalty(s.alpha, np.stack([examples[i].beta
+                                                    for i in s.members])[:, None])
+               for s in stacks]
+        quiet = np.flatnonzero([not (self.config.use_notes and ex.note_tokens.size)
+                                for ex in examples])
+        ce_sum = ad.fold_sum(ce, order=np.argsort(np.concatenate([b.members for b in buckets])))
+        pen_sum = ad.fold_sum([*pen, ad.constant(np.zeros(quiet.size))],
+                              order=np.argsort(np.concatenate([*(s.members for s in stacks),
+                                                               quiet])))
         n = float(len(examples))
         ce_mean = ad.mul(ce_sum, 1.0 / n)
         pen_mean = ad.mul(pen_sum, 1.0 / n)

@@ -1,16 +1,17 @@
 """The per-patient patient path: the oracle for the bucketed batch.
 
-Each patient runs alone, one visit at a time on (1, d) rows, and the batch
-loss adds the patients' terms one ``add`` at a time. ``FrozenScorer`` now runs
-every patient of a visit count T as one (B, T, d) stack; its per-patient
-outputs and loss must equal these bit for bit, and its gradients must equal
-these to 1e-10.
+Each patient runs alone, one visit at a time on (1, d) rows, its note on its
+own (L, w) words, and the batch loss adds the patients' terms one ``add`` at a
+time. ``FrozenScorer`` runs every patient of a visit count T as one (B, T, d)
+stack and every note of a token count L as one (B, L, h) stack; its
+per-patient outputs and loss must equal these bit for bit, and its gradients
+must equal these to 1e-10.
 """
 
 import numpy as np
 
 from cgl import autodiff as ad
-from cgl.model import CLAMP_EPS, rectified_penalty
+from cgl.model import CLAMP_EPS
 
 
 def encode_visits(model, leaves, visit_rows):
@@ -35,13 +36,35 @@ def encode_visits(model, leaves, visit_rows):
     return rows, alpha, o_v
 
 
+def note_attention(model, leaves, token_idx, o_v):
+    """Attention over one note's projected word embeddings with o_v as context:
+    the (L,) weights, or None for an empty note, and the (h,) summary o_n."""
+    if token_idx.size == 0:
+        return None, ad.constant(np.zeros(model.config.gru_hidden))
+    words = ad.gather_rows(leaves["word_embed"], token_idx)
+    projected = ad.matmul(words, leaves["word_proj"])
+    alpha = ad.softmax(ad.matmul(projected, o_v), axis=0)
+    o_n = ad.matmul(alpha, projected)
+    return alpha, o_n
+
+
+def rectified_penalty(alpha, beta):
+    """One patient's note penalty; an empty note contributes 0."""
+    if alpha is None:
+        return ad.constant(0.0)
+    ln_b = ad.constant(np.log(beta))
+    ln_1b = ad.constant(np.log1p(-beta))
+    inner = ad.add(ad.mul(alpha, ln_b), ad.mul(ad.sub(1.0, alpha), ln_1b))
+    return ad.mul(ad.reduce_sum(inner), -1.0)
+
+
 def patient_forward(model, leaves, visits, first, example):
     """One patient, whose pooled visits are the rows of ``visits`` from
     ``first`` on: its scores, note attention, location attention and o_v."""
     rows = [ad.gather_rows(visits, [i]) for i in range(first, first + len(example.visit_codes))]
     _, alpha, o_v = encode_visits(model, leaves, rows)
     if model.config.use_notes:
-        note_alpha, o_n = model.note_attention(leaves, example.note_tokens, o_v)
+        note_alpha, o_n = note_attention(model, leaves, example.note_tokens, o_v)
     else:
         note_alpha, o_n = None, ad.constant(np.zeros(model.config.gru_hidden))
     out = ad.concat(o_v, o_n, axis=0)

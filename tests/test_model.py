@@ -379,11 +379,24 @@ def test_attention_convexity():
 # note attention and penalty
 
 
+def attend_one(m, tokens, o_v):
+    """``note_attention`` on a batch of one note: its (L,) weights, or None
+    when the note is empty and so in no stack, and its (h,) summary o_n."""
+    stacks, o_n = m.note_attention(m._constants(), [tokens],
+                                   ad.reshape(o_v, (1, o_v.shape[0], 1)))
+    assert o_n.shape == (1, 1, o_v.shape[0])
+    if not stacks:
+        return None, ad.constant(o_n.values[0, 0])
+    [stack] = stacks
+    assert np.array_equal(stack.members, [0])
+    return ad.constant(stack.alpha.values[0, 0]), ad.constant(o_n.values[0, 0])
+
+
 def test_note_attention_identical_tokens():
     prob = build_problem()
     m = prob.model
     o_v = ad.constant(np.random.default_rng(17).normal(size=prob.config.gru_hidden))
-    alpha, o_n = m.note_attention(m._constants(), np.array([2, 2, 2]), o_v)
+    alpha, o_n = attend_one(m, np.array([2, 2, 2]), o_v)
     assert np.allclose(alpha.values, 1 / 3)
     projected = m.params.arrays["word_embed"][2] @ m.params.arrays["word_proj"]
     assert np.max(np.abs(o_n.values - projected)) < 1e-12
@@ -395,7 +408,7 @@ def test_note_attention_three_token_oracle():
     rng = np.random.default_rng(19)
     o_v = rng.normal(size=prob.config.gru_hidden)
     tokens = np.array([0, 3, 1])
-    alpha, o_n = m.note_attention(m._constants(), tokens, ad.constant(o_v))
+    alpha, o_n = attend_one(m, tokens, ad.constant(o_v))
     proj = m.params.arrays["word_embed"][tokens] @ m.params.arrays["word_proj"]
     scores = proj @ o_v
     e = np.exp(scores - scores.max())
@@ -408,28 +421,33 @@ def test_note_attention_three_token_oracle():
 def test_note_attention_empty_note():
     prob = build_problem()
     m = prob.model
-    alpha, o_n = m.note_attention(m._constants(), np.array([], dtype=np.intp),
-                                  ad.constant(np.zeros(prob.config.gru_hidden)))
+    alpha, o_n = attend_one(m, np.array([], dtype=np.intp),
+                            ad.constant(np.zeros(prob.config.gru_hidden)))
     assert alpha is None
     assert np.all(o_n.values == 0.0)
 
 
+def one_note(values):
+    """A stack of one note, (1, 1, L), as ``batch_loss`` passes it."""
+    return np.asarray(values, dtype=np.float64).reshape(1, 1, -1)
+
+
 def test_rectified_penalty_half_targets():
-    alpha = ad.constant(np.array([0.2, 0.5, 0.3]))
-    beta = np.full(3, 0.5)
+    alpha = ad.constant(one_note([0.2, 0.5, 0.3]))
+    beta = one_note(np.full(3, 0.5))
     got = model.rectified_penalty(alpha, beta).item()
     assert abs(got - 3 * math.log(2)) < 1e-12
 
 
 def test_rectified_penalty_empty_and_mismatch():
-    assert model.rectified_penalty(None, np.zeros(0)).item() == 0.0
+    assert model.rectified_penalty(ad.constant(one_note([])), one_note([])).item() == 0.0
     with pytest.raises(ValueError):
-        model.rectified_penalty(ad.constant(np.array([0.5])), np.array([0.5, 0.5]))
+        model.rectified_penalty(ad.constant(one_note([0.5])), one_note([0.5, 0.5]))
 
 
 def test_rectified_penalty_direct_formula():
-    alpha = np.array([0.7, 0.3])
-    beta = np.array([0.9, 0.1])
+    alpha = one_note([0.7, 0.3])
+    beta = one_note([0.9, 0.1])
     want = -(0.7 * math.log(0.9) + 0.3 * math.log(0.1)
              + 0.3 * math.log(0.1) + 0.7 * math.log(0.9))
     got = model.rectified_penalty(ad.constant(alpha), beta).item()
@@ -479,8 +497,8 @@ def test_frozen_inference_matches_infer_mode_graph_pass():
     [(frozen_scores, _)] = m.predict_examples(prob.examples[:1])
     leaves = m._constants()
     h_c = m.graph_forward(leaves, mode="infer", update_stats=False)
-    [bucket] = m.patient_forward(leaves, m.pool_visits(h_c, prob.examples[:1]),
-                                 prob.examples[:1])
+    [bucket], _ = m.patient_forward(leaves, m.pool_visits(h_c, prob.examples[:1]),
+                                    prob.examples[:1])
     assert np.max(np.abs(frozen_scores - bucket.y_hat.values[0, 0])) < 1e-9
 
 
@@ -506,11 +524,11 @@ def test_batch_loss_matches_direct_formula():
     ce_vals, pen_vals = [], []
     eps = model.CLAMP_EPS
     for ex in prob.examples:
-        [bucket] = m.patient_forward(leaves2, m.pool_visits(h_c2, [ex]), [ex])
+        [bucket], [stack] = m.patient_forward(leaves2, m.pool_visits(h_c2, [ex]), [ex])
         p = np.clip(bucket.y_hat.values[0, 0], eps, 1 - eps)
         y = ex.label_vec
         ce_vals.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
-        a = bucket.note_alpha[0].values
+        a = stack.alpha.values[0, 0]
         pen_vals.append(float(-np.sum(a * np.log(ex.beta) + (1 - a) * np.log1p(-ex.beta))))
     want = np.mean(ce_vals) + lam * np.mean(pen_vals)
     assert abs(loss.item() - want) < 1e-12

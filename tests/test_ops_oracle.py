@@ -52,18 +52,25 @@ def assert_matches_oracle(call, operands, tracked, seed):
     for got, want in zip(got_grads, want_grads):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-    if any(tracked):
-        params = {f"x{i}": np.array(a, dtype=np.float64)
-                  for i, (a, t) in enumerate(zip(operands, tracked)) if t}
+    assert_finite_differences_agree(call, operands, tracked, w)
 
-        def program():
-            tape = ad.Tape()
-            leaves = {name: tape.leaf(arr) for name, arr in params.items()}
-            xs = [leaves.get(f"x{i}", a) for i, a in enumerate(operands)]
-            return ad.reduce_sum(ad.mul(call(ad, xs), w)), leaves
 
-        report = ad.check_gradients(program, params, step=1e-6)
-        assert report.max_rel_err < 1e-5, report.summary()
+def assert_finite_differences_agree(call, operands, tracked, w):
+    """The gradients of ``sum(call(ad, operands) * w)`` for the tracked
+    operands agree with central finite differences."""
+    if not any(tracked):
+        return
+    params = {f"x{i}": np.array(a, dtype=np.float64)
+              for i, (a, t) in enumerate(zip(operands, tracked)) if t}
+
+    def program():
+        tape = ad.Tape()
+        leaves = {name: tape.leaf(arr) for name, arr in params.items()}
+        xs = [leaves.get(f"x{i}", a) for i, a in enumerate(operands)]
+        return ad.reduce_sum(ad.mul(call(ad, xs), w)), leaves
+
+    report = ad.check_gradients(program, params, step=1e-6)
+    assert report.max_rel_err < 1e-5, report.summary()
 
 
 def away_from(x, points, gap=0.05):
@@ -260,6 +267,70 @@ def test_group_mean_matches_gather_and_mean(seed, rows, width, groups):
 
     report = ad.check_gradients(program, params, step=1e-6)
     assert report.max_rel_err < 1e-5, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# stacked operands: matmul on (B, m, k) stacks, gather_rows from a stack table
+
+
+@given(seed=seeds, items=st.integers(1, 3), m=dims, k=dims, n=st.integers(0, 3),
+       right=st.sampled_from(["shared", "stacked"]),
+       tracked=st.tuples(st.booleans(), st.booleans()))
+def test_stacked_matmul_matches_per_item_oracle(seed, items, m, k, n, right, tracked):
+    """``(B, m, k) @ (k, n)`` and ``(B, m, k) @ (B, k, n)``: each item's values
+    and gradients equal the closure op's on that item alone, bit for bit, but
+    the shared right operand's gradient, a sum over the items, only to 1e-12;
+    and every gradient agrees with finite differences. ``n == 0`` is a 1-d
+    shared right operand."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(items, m, k))
+    if right == "stacked":
+        b = rng.normal(size=(items, k, max(n, 1)))
+    else:
+        b = rng.normal(size=(k, n) if n else (k,))
+    call = lambda mod, xs: mod.matmul(*xs)
+    w = rng.uniform(0.5, 1.5, size=np.matmul(a, b).shape)
+    values, grads = run(ad, call, [a, b], tracked, w)
+    b_sum = 0.0
+    for i in range(items):
+        want_values, want_grads = run(old, call, [a[i], b[i] if right == "stacked" else b],
+                                      tracked, w[i])
+        assert np.array_equal(values[i], want_values)
+        if tracked[0]:
+            assert np.array_equal(grads[0][i], want_grads[0])
+        if tracked[1] and right == "stacked":
+            assert np.array_equal(grads[-1][i], want_grads[-1])
+        elif tracked[1]:
+            b_sum = b_sum + want_grads[-1]
+    if tracked[1] and right == "shared":
+        assert np.allclose(grads[-1], b_sum, rtol=1e-12, atol=1e-12)
+    assert_finite_differences_agree(call, [a, b], tracked, w)
+
+
+@given(seed=seeds, rows=dims, inner=dims, width=dims,
+       indices=st.lists(st.integers(0, 3), max_size=6), column=st.booleans(),
+       tracked=st.booleans())
+def test_gather_rows_from_a_stack_table_matches_a_flat_table(seed, rows, inner, width,
+                                                            indices, column, tracked):
+    """Rows of a (rows, inner, width) table, under flat or (n, 1) indices, are
+    the rows of the (rows, inner * width) table reshaped: values and gradient
+    bit for bit. The gradient agrees with finite differences."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(rows, inner, width))
+    idx = np.array([i % rows for i in indices], dtype=np.intp)
+    if column:
+        idx = idx[:, None]
+    stacked = lambda mod, xs: mod.gather_rows(xs[0], idx)
+    flat = lambda mod, xs: mod.reshape(mod.gather_rows(mod.reshape(xs[0], (rows, -1)), idx),
+                                       (*idx.shape, inner, width))
+    w = rng.uniform(0.5, 1.5, size=(*idx.shape, inner, width))
+    got_values, got_grads = run(ad, stacked, [table], [tracked], w)
+    want_values, want_grads = run(ad, flat, [table], [tracked], w)
+    assert got_values.shape == want_values.shape
+    assert np.array_equal(got_values, want_values)
+    for got, want in zip(got_grads, want_grads):
+        assert np.array_equal(got, want)
+    assert_finite_differences_agree(stacked, [table], [tracked], w)
 
 
 def test_group_mean_rejects_bad_groups():

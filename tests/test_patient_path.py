@@ -2,12 +2,14 @@
 
 ``FrozenScorer.patient_forward`` runs all patients of a batch that share a
 visit count T as one stack: the GRU on (B, 1, .) operands, the location
-attention on (B, T) and the head on (B, 1, 2h). numpy runs a stacked product
+attention on (B, T) and the head on (B, 1, 2h). Between them the notes of a
+token count L run as one stack: the word projection, the scores, the note
+attention and the penalty on (B, L) operands. numpy runs a stacked product
 item by item with the kernel of a lone matrix, so every forward bit must equal
 the per-patient path of ``per_patient_path.py``: each patient's scores, o_v,
-location attention and note attention, the batch loss and the predicted
-scores. The gradients sum the stacked rows in another order, so they must
-equal the oracle's to 1e-10.
+location attention and note attention, the batch loss and its parts, and the
+predicted scores. The gradients sum the stacked rows in another order, so they
+must equal the oracle's to 1e-10.
 """
 
 import functools
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 
 import per_patient_path as oracle
 from cgl import autodiff as ad
-from cgl.model import predict_scores
+from cgl.model import FrozenScorer, ModelConfig, ModelParams, PatientExample, predict_scores
 from problem_fixtures import build_problem
 
 
@@ -39,24 +41,39 @@ def assert_forward_matches(net, leaves, h_c, batch):
     """Every patient's outputs from the buckets equal the oracle's, bit for bit."""
     visits = net.pool_visits(h_c, batch)
     want = oracle.forward_each(net, leaves, visits, batch)
-    buckets = net.patient_forward(leaves, visits, batch)
+    buckets, stacks = net.patient_forward(leaves, visits, batch)
     seen = np.sort(np.concatenate([b.members for b in buckets]))
     assert np.array_equal(seen, np.arange(len(batch)))
     for bucket in buckets:
         steps = bucket.alpha.shape[1]
         for b, i in enumerate(bucket.members):
-            y_hat, note_alpha, alpha, o_v = want[i]
+            y_hat, _, alpha, o_v = want[i]
             assert len(batch[i].visit_codes) == steps
             assert np.array_equal(bucket.y_hat.values[b, 0], y_hat.values), i
             assert np.array_equal(bucket.o_v.values[b, 0], o_v.values), i
             assert np.array_equal(bucket.alpha.values[b], alpha.values), i
-            if note_alpha is None:
-                assert bucket.note_alpha[b] is None
-            else:
-                assert np.array_equal(bucket.note_alpha[b].values, note_alpha.values), i
+    note_alpha = {}
+    for stack in stacks:
+        assert stack.alpha.shape[:2] == (stack.members.size, 1)
+        for b, i in enumerate(stack.members):
+            assert i not in note_alpha
+            assert len(batch[i].note_tokens) == stack.alpha.shape[2]
+            note_alpha[i] = stack.alpha.values[b, 0]
+    for i, (_, want_alpha, _, _) in enumerate(want):
+        if want_alpha is None:
+            assert i not in note_alpha
+        else:
+            assert np.array_equal(note_alpha[i], want_alpha.values), i
 
 
 def assert_loss_and_gradients_match(net, batch):
+    """The loss and its cross-entropy and penalty parts equal the oracle's
+    bit for bit; the gradients match to 1e-10."""
+    leaves = net._constants()
+    h_c = net.graph_forward(leaves, mode="train", update_stats=False)
+    for got, want in zip(net.batch_loss(leaves, h_c, batch),
+                         oracle.batch_loss(net, leaves, h_c, batch)):
+        assert got.values.tobytes() == want.values.tobytes()
     loss, leaves = net.loss_program(batch)()
     want, want_leaves = oracle.loss_program(net, batch)()
     assert loss.values.tobytes() == want.values.tobytes()
@@ -124,6 +141,15 @@ patient_mixes = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10)),
                          min_size=1, max_size=9)
 
 
+def assert_batch_matches(prob, batch):
+    """Forward, loss, gradients and predictions of ``batch`` on the fixture's
+    frozen code features equal the per-patient path's."""
+    net = prob.model
+    assert_forward_matches(net, net._constants(), ad.constant(net.frozen_code_repr), batch)
+    assert_loss_and_gradients_match(net, batch)
+    assert_predictions_match(net, batch)
+
+
 @given(patients=patient_mixes, task=st.sampled_from(["diagnosis", "heart_failure"]),
        notes=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(patients=[(3, 4)] * 6, task="diagnosis", notes=True, seed=0)  # one T alone
@@ -136,12 +162,30 @@ patient_mixes = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10)),
 @example(patients=[(2, 3), (1, 0), (2, 8)], task="diagnosis", notes=False, seed=4)
 def test_bucket_mixes_match_the_per_patient_path(patients, task, notes, seed):
     prob = fixture_net(task, notes)
-    net = prob.model
-    batch = mixed_batch(prob, patients, seed)
-    leaves = net._constants()
-    assert_forward_matches(net, leaves, ad.constant(net.frozen_code_repr), batch)
-    assert_loss_and_gradients_match(net, batch)
-    assert_predictions_match(net, batch)
+    assert_batch_matches(prob, mixed_batch(prob, patients, seed))
+
+
+# Note token counts: a one-token note's products run as GEMVs, not GEMMs; past
+# 8 and 128 tokens numpy's pairwise sums in the softmax and the penalty change
+# shape.
+note_lengths = st.one_of(st.sampled_from([0, 1, 2, 9, 129]), st.integers(0, 20))
+
+
+@given(notes=st.lists(st.tuples(st.integers(1, 3), note_lengths), min_size=1, max_size=12),
+       use_notes=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(notes=[(1, 0), (2, 0), (1, 0)], use_notes=True, seed=0)  # every note empty
+@example(notes=[(1, 4), (2, 0), (1, 0), (3, 4)], use_notes=True, seed=1)  # some empty
+@example(notes=[(1, 1), (2, 1), (3, 1), (1, 1)], use_notes=True, seed=2)  # only L = 1
+@example(notes=[(1, 1), (2, 6), (1, 1), (3, 0)], use_notes=True, seed=3)  # L = 1 among others
+@example(notes=[(k % 3 + 1, 7) for k in range(9)], use_notes=True, seed=4)  # one L
+@example(notes=[(k % 3 + 1, n) for k, n in enumerate([1, 2, 3, 5, 8, 9, 16, 17, 40, 129])],
+         use_notes=True, seed=5)  # every L distinct
+@example(notes=[(1, 3), (2, 1), (2, 0), (1, 9)], use_notes=False, seed=6)
+def test_note_length_mixes_match_the_per_patient_path(notes, use_notes, seed):
+    """Note stacks of every mix of token counts: forward, loss, gradients and
+    predictions equal the per-patient path's."""
+    prob = fixture_net("diagnosis", use_notes)
+    assert_batch_matches(prob, mixed_batch(prob, notes, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +262,61 @@ def check_column_blocked_product(n):
         ad.COLUMN_BLOCK = width
 
 
-@pytest.mark.parametrize("n", [81, 255, 256, 257, 1536, 1537, 5000])
-def test_column_blocked_head_product_keeps_every_bit(n):
-    """``check_column_blocked_product`` with one BLAS thread, in a fresh
-    process. Several BLAS threads split each GEMV's columns by its width, so
-    there a narrower call can round a column differently (see ``matmul``)."""
+def run_single_threaded(call):
+    """Run ``test_patient_path.<call>`` in a fresh process with one BLAS
+    thread, the only setting whose bits do not depend on the BLAS thread split."""
     tests = Path(__file__).resolve().parent
     env = {**os.environ, "CGL_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
-    code = f"import test_patient_path as t; t.check_column_blocked_product({n})"
+    code = f"import test_patient_path as t; t.{call}"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
+
+
+@pytest.mark.parametrize("n", [81, 255, 256, 257, 1536, 1537, 5000])
+def test_column_blocked_head_product_keeps_every_bit(n):
+    """``check_column_blocked_product`` with one BLAS thread. Several BLAS
+    threads split each GEMV's columns by its width, so there a narrower call
+    can round a column differently (see ``matmul``)."""
+    run_single_threaded(f"check_column_blocked_product({n})")
+
+
+def check_one_patient_equals_its_chunk_row(n_codes):
+    """A default-config scorer with random arrays at ``n_codes`` codes: each
+    patient scored alone, as ``cgl predict`` does, gets the scores and note
+    attention of its row of one stacked chunk, as ``cgl evaluate`` scores it,
+    bit for bit. The chunk mixes visit counts and note token counts."""
+    config = ModelConfig()
+    rng = np.random.default_rng(n_codes)
+    vocab_size = 40
+    shapes = FrozenScorer.array_shapes(config, n_codes, vocab_size)
+    params = ModelParams()
+    for name, shape in shapes.items():
+        params.add(name, rng.normal(scale=0.1, size=shape))
+    scorer = FrozenScorer(config, params, params.arrays.pop("frozen_code_repr"))
+    examples = [PatientExample(pid=f"p{i}",
+                               visit_codes=[np.unique(rng.integers(0, n_codes, size=4))
+                                            for _ in range(1 + i % 3)],
+                               note_tokens=rng.integers(0, vocab_size, size=length),
+                               beta=rng.uniform(0.05, 0.95, size=length),
+                               label_vec=np.zeros(n_codes), occurred=np.zeros(n_codes))
+                for i, length in enumerate([0, 1, 1, 2, 3, 3, 3, 7, 9, 17, 40, 129])]
+    together = scorer.predict_examples(examples)
+    for ex, (scores, alpha) in zip(examples, together):
+        [(alone, alone_alpha)] = scorer.predict_examples([ex])
+        assert alone.tobytes() == scores.tobytes(), ex.pid
+        assert (alone_alpha is None) == (alpha is None) == (ex.note_tokens.size == 0)
+        if alpha is not None:
+            assert alone_alpha.tobytes() == alpha.tobytes(), ex.pid
+
+
+def test_one_patient_equals_its_chunk_row_at_1537_codes():
+    """``check_one_patient_equals_its_chunk_row`` with one BLAS thread, at a
+    width where the column-blocked head (stacks) and the unblocked one (one
+    patient) can differ under several BLAS threads."""
+    run_single_threaded("check_one_patient_equals_its_chunk_row(1537)")
 
 
 def test_stacked_matmul_rejects_bad_stacks():

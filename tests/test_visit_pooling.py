@@ -59,11 +59,17 @@ def test_train_small_step_records_fewer_and_lighter_entries(problems):
     assert visits == 81
     steps = {len(ex.visit_codes) for ex in batch}
     assert steps == {1, 2, 3, 4}
+    notes = {len(ex.note_tokens) for ex in batch}
+    assert notes == {3, 4, 5, 6}
     # 2,876 with a gather, a mean and a reshape per visit, and 2,715 with one
-    # pooling op but a GRU step per visit. Now the patients of each visit count
-    # form a bucket that runs as one stack: 35 entries of graph side and
-    # pooling; 21 per stacked GRU step (1 + 2 + 3 + 4 steps) and a concat per
-    # later step; 20 per bucket for location attention, head and cross-entropy;
-    # 12 per patient for note attention and penalty; 6 for the sums and loss.
-    assert entries == 35 + 21 * 10 + 6 + 20 * len(steps) + 12 * len(batch) + 6 == 721
+    # pooling op but a GRU step per visit; 721 with buckets but a note path per
+    # patient. Now the patients of each visit count form a bucket that runs as
+    # one stack: 35 entries of graph side and pooling; 21 per stacked GRU step
+    # (1 + 2 + 3 + 4 steps) and a concat per later step; 18 per bucket for
+    # location attention, its note summaries, head and cross-entropy. The notes
+    # of each token count form a stack: 4 entries to join and reshape the
+    # buckets' o_v, 13 per stack for note attention and penalty, 4 to join and
+    # reorder the stacks' o_n. Then 6 for the sums and loss.
+    assert entries == (35 + 21 * 10 + 6 + 18 * len(steps) + 4 + 13 * len(notes) + 4
+                       + 6) == 389
     assert kept <= 5 * entries, f"{kept / entries:.2f} tracked objects per entry"

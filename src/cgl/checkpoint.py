@@ -155,6 +155,11 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
         manifest = json.load(fh)
     if manifest.get("format") != FORMAT:
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
+    for key, kind in (("config", dict), ("ontology_edges", list), ("code_map", dict),
+                      ("vocab", dict), ("arrays", list), ("metric_ks", list)):
+        if not isinstance(manifest[key], kind):
+            raise ValueError(f"checkpoint key {key!r} is not a JSON "
+                             f"{'object' if kind is dict else 'array'}")
     config = _config_from(manifest["config"])
     tree = _code_index(manifest["ontology_edges"], manifest["code_map"])
     vocab_entries = manifest["vocab"]["entries"]

@@ -360,7 +360,9 @@ def cmd_export(args) -> int:
     if what == "attention":
         example, _, alpha = _score_history(bundle, opts)
         if alpha is None:
-            raise ValueError("this checkpoint was trained without the note path")
+            raise ValueError("the last visit's note has no word of the checkpoint's vocabulary"
+                             if bundle.model.config.use_notes
+                             else "this checkpoint was trained without the note path")
         index_to_word = {ix: w for w, ix in bundle.vocab.word_index.items()}
         rows = [[index_to_word[int(t)], float(a), float(b)]
                 for t, a, b in zip(example.note_tokens, alpha, example.beta)]

@@ -16,18 +16,18 @@ One forward pass:
    visit sequence, and a location attention over the GRU states yields the
    visit summary o_v. The patients of a batch with the same number of visits
    T form a bucket that runs as one stack: the GRU steps on (B, 1, d)
-   operands, the attention on (B, T). This keeps every bit of running each
-   patient alone: numpy multiplies a stacked (B, 1, d) @ (d, h) item by item
-   with the kernel of a lone (1, d) product, where the row-batched
-   (B, d) @ (d, h) would round differently.
+   operands, the attention on (B, T); one gather puts the buckets' o_v back in
+   batch order. This keeps every bit of running each patient alone: numpy
+   multiplies a stacked (B, 1, d) @ (d, h) item by item with the kernel of a
+   lone (1, d) product, where the row-batched (B, d) @ (d, h) would not.
 4. The latest note's word embeddings are projected and attended with o_v as
    the context; the attention weights are pulled toward per-note TF-IDF
    targets by a rectification penalty added to the loss. The notes of a
    batch with the same token count L form a stack, whose projection, scores,
    softmax, summary o_n and penalty run on (B, L) operands, with the same
    bits as one note alone.
-5. A sigmoid head on [o_v, o_n] scores all codes (or the binary event), one
-   (B, 1, 2h) stack per bucket; at thousands of codes the stack runs one
+5. A sigmoid head on [o_v, o_n] scores all codes (or the binary event) as one
+   (N, 1, 2h) stack in batch order; at thousands of codes the stack runs one
    cache-sized column block of the head weight at a time (``autodiff.matmul``).
    The loss is mean cross-entropy plus the weighted penalty, each summed over
    the patients in batch order, left to right. Evaluation ranks the scores
@@ -171,17 +171,16 @@ class PatientExample:
 
 @dataclass
 class PatientBucket:
-    """The patients of a batch that share a visit count T, run as one stack.
+    """The patients of a batch that share a visit count T, run as one stack
+    through the GRU and location attention.
 
     ``members`` are their positions in the batch, in batch order; ``alpha``
-    is the (B, T) location attention, ``o_v`` the (B, 1, h) visit summaries
-    and ``y_hat`` the (B, 1, out) scores.
+    is the (B, T) location attention and ``o_v`` the (B, 1, h) visit summaries.
     """
 
     members: np.ndarray
     alpha: ad.Tensor
     o_v: ad.Tensor
-    y_hat: ad.Tensor
 
 
 @dataclass
@@ -386,45 +385,36 @@ class FrozenScorer:
         return stacks, ad.gather_rows(table, slot)
 
     def patient_forward(self, leaves, visits: ad.Tensor, examples: list[PatientExample]
-                        ) -> tuple[list[PatientBucket], list[NoteStack]]:
-        """Scores and note attention for a batch whose pooled visits are the
-        rows of ``visits``, in ``pool_visits`` order.
+                        ) -> tuple[ad.Tensor, list[PatientBucket], list[NoteStack]]:
+        """Scores and attention for a batch whose pooled visits are the rows
+        of ``visits``, in ``pool_visits`` order.
 
         Patients with the same number of visits form one bucket, in increasing
-        order of that number; the GRU, the location attention and the head run
-        once per bucket on stacks. Between them, ``note_attention`` runs once
-        for the whole batch. Returns the buckets and the note stacks, whose
-        ``members`` are batch positions (no stacks without notes).
+        order of that number; the GRU and the location attention run once per
+        bucket on stacks. Then ``note_attention`` and the head run once on the
+        whole batch, in batch order. Returns the (N, 1, out) scores, the buckets
+        and the note stacks, whose ``members`` are batch positions.
         """
         lengths = np.array([len(ex.visit_codes) for ex in examples])
         firsts = np.cumsum(lengths) - lengths
-        h = self.config.gru_hidden
-        encoded = []
+        buckets = []
         for steps in np.unique(lengths):
             members = np.flatnonzero(lengths == steps)
             _, alpha, o_v = self.encode_visits(leaves, visits,
                                                firsts[members, None] + np.arange(steps))
-            encoded.append((members, alpha, o_v))
-        stacks = []
+            buckets.append(PatientBucket(members, alpha, o_v))
+        o_v = buckets[0].o_v
+        for bucket in buckets[1:]:
+            o_v = ad.concat(o_v, bucket.o_v, axis=0)
+        o_v = ad.gather_rows(o_v, np.argsort(np.concatenate([b.members for b in buckets])))
+        n, h = len(examples), self.config.gru_hidden
+        stacks, o_n = [], ad.constant(np.zeros((n, 1, h)))
         if self.config.use_notes:
-            order = np.concatenate([members for members, _, _ in encoded])
-            o_v_all = encoded[0][2]
-            for _, _, o_v in encoded[1:]:
-                o_v_all = ad.concat(o_v_all, o_v, axis=0)
-            stacks, o_n_all = self.note_attention(
-                leaves, [examples[i].note_tokens for i in order],
-                ad.reshape(o_v_all, (order.size, h, 1)))
-            stacks = [NoteStack(order[s.members], s.alpha) for s in stacks]
-        buckets, start = [], 0
-        for members, alpha, o_v in encoded:
-            n = members.size
-            o_n = (ad.gather_rows(o_n_all, np.arange(start, start + n)) if self.config.use_notes
-                   else ad.constant(np.zeros((n, 1, h))))
-            start += n
-            logits = ad.add(ad.matmul(ad.concat(o_v, o_n, axis=2), leaves["head_weight"]),
-                            leaves["head_bias"])
-            buckets.append(PatientBucket(members, alpha, o_v, ad.sigmoid(logits)))
-        return buckets, stacks
+            stacks, o_n = self.note_attention(leaves, [ex.note_tokens for ex in examples],
+                                              ad.reshape(o_v, (n, h, 1)))
+        logits = ad.add(ad.matmul(ad.concat(o_v, o_n, axis=2), leaves["head_weight"]),
+                        leaves["head_bias"])
+        return ad.sigmoid(logits), buckets, stacks
 
     def predict_examples(self, examples: list[PatientExample]):
         """Frozen-feature scores and note attention for each patient, run in
@@ -434,13 +424,11 @@ class FrozenScorer:
             raise RuntimeError("freeze_code_embeddings() must run before inference")
         leaves = self._constants()
         frozen = ad.constant(self.frozen_code_repr)
-        scores, alphas = [None] * len(examples), [None] * len(examples)
+        scores, alphas = [], [None] * len(examples)
         for start in range(0, len(examples), self.config.batch_size):
             chunk = examples[start:start + self.config.batch_size]
-            buckets, stacks = self.patient_forward(leaves, self.pool_visits(frozen, chunk), chunk)
-            for bucket in buckets:
-                for b, i in enumerate(bucket.members):
-                    scores[start + i] = bucket.y_hat.values[b, 0].copy()
+            y_hat, _, stacks = self.patient_forward(leaves, self.pool_visits(frozen, chunk), chunk)
+            scores.extend(y_hat.values[:, 0])
             for stack in stacks:
                 for b, i in enumerate(stack.members):
                     alphas[start + i] = stack.alpha.values[b, 0].copy()
@@ -580,25 +568,20 @@ class CollaborativeGraphModel(FrozenScorer):
         """Mean cross-entropy plus weighted mean note penalty over a batch.
 
         The per-patient terms are summed in batch order, left to right, as a
-        running sum over the patients would; a patient without a note stack
-        adds a penalty term of 0.
+        running sum over the patients would; patients without a note stack are
+        left out of the penalty sum, where their terms of 0 would change no bit.
         """
         if not examples:
             raise ValueError("empty batch")
-        buckets, stacks = self.patient_forward(leaves, self.pool_visits(h_c, examples),
-                                               examples)
-        ce = [self._cross_entropy(b.y_hat, np.stack([examples[i].label_vec
-                                                     for i in b.members])[:, None])
-              for b in buckets]
+        y_hat, _, stacks = self.patient_forward(leaves, self.pool_visits(h_c, examples),
+                                                examples)
+        ce = self._cross_entropy(y_hat, np.stack([ex.label_vec for ex in examples])[:, None])
         pen = [rectified_penalty(s.alpha, np.stack([examples[i].beta
                                                     for i in s.members])[:, None])
                for s in stacks]
-        quiet = np.flatnonzero([not (self.config.use_notes and ex.note_tokens.size)
-                                for ex in examples])
-        ce_sum = ad.fold_sum(ce, order=np.argsort(np.concatenate([b.members for b in buckets])))
-        pen_sum = ad.fold_sum([*pen, ad.constant(np.zeros(quiet.size))],
-                              order=np.argsort(np.concatenate([*(s.members for s in stacks),
-                                                               quiet])))
+        ce_sum = ad.fold_sum([ce])
+        pen_sum = (ad.fold_sum(pen, order=np.argsort(np.concatenate([s.members for s in stacks])))
+                   if stacks else ad.constant(0.0))
         n = float(len(examples))
         ce_mean = ad.mul(ce_sum, 1.0 / n)
         pen_mean = ad.mul(pen_sum, 1.0 / n)

@@ -466,6 +466,12 @@ def drop_config_key(name):
     return edit
 
 
+def set_manifest_key(name, value):
+    def edit(manifest):
+        manifest[name] = value
+    return edit
+
+
 def set_code_map_value(value):
     def edit(manifest):
         code = sorted(manifest["code_map"])[0]
@@ -523,7 +529,9 @@ def set_first_edge(edge):
     (drop_first_leaf, "code_map", "code_map-missing-leaf"),
     (set_first_edge(["a", "b", "c"]), "ontology_edges", "edge-triple"),
     (set_first_edge("a"), "ontology_edges", "edge-string"),
-]])
+]] + [pytest.param(set_manifest_key(key, value), key, id=f"manifest-{key}")
+      for key, value in [("config", 5), ("vocab", []), ("metric_ks", 3), ("code_map", []),
+                         ("ontology_edges", {}), ("arrays", 5)]])
 def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit, name):
     _, patient = first_split_patient(workspace, "test")
     hist_path = tmp_path / "history.json"
@@ -535,6 +543,28 @@ def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit,
     rc = main(["predict", "--checkpoint", str(ck), "--history", str(hist_path)])
     assert rc == 2
     assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("use_notes,note,cause", [
+    (False, None, "trained without the note path"),
+    (True, ["zz-not-a-word"], "note has no word of the checkpoint's vocabulary"),
+], ids=["no-note-path", "no-word-in-vocabulary"])
+def test_export_attention_without_a_note_names_the_cause(workspace, tmp_path, capsys,
+                                                          use_notes, note, cause):
+    """No note attention to export: either the checkpoint has no note path or
+    the history's last note has no word of the vocabulary."""
+    _, patient = first_split_patient(workspace, "test")
+    visits = [{"codes": v.codes, "note": v.note} for v in patient.feature_visits]
+    if note is not None:
+        visits[-1]["note"] = note
+    hist_path = tmp_path / "history.json"
+    hist_path.write_text(json.dumps({"visits": visits}), encoding="utf-8")
+    ck = broken_checkpoint(workspace, tmp_path, add_config_key("use_notes", use_notes))
+    capsys.readouterr()
+    rc = main(["export", "--checkpoint", str(ck), "--what", "attention",
+               "--history", str(hist_path), "--out", str(tmp_path / "att")])
+    assert rc == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_serving_never_builds_the_hierarchy(workspace, tmp_path, monkeypatch):

@@ -497,9 +497,9 @@ def test_frozen_inference_matches_infer_mode_graph_pass():
     [(frozen_scores, _)] = m.predict_examples(prob.examples[:1])
     leaves = m._constants()
     h_c = m.graph_forward(leaves, mode="infer", update_stats=False)
-    [bucket], _ = m.patient_forward(leaves, m.pool_visits(h_c, prob.examples[:1]),
+    y_hat, _, _ = m.patient_forward(leaves, m.pool_visits(h_c, prob.examples[:1]),
                                     prob.examples[:1])
-    assert np.max(np.abs(frozen_scores - bucket.y_hat.values[0, 0])) < 1e-9
+    assert np.max(np.abs(frozen_scores - y_hat.values[0, 0])) < 1e-9
 
 
 def test_cross_entropy_at_clamp_bounds():
@@ -524,8 +524,8 @@ def test_batch_loss_matches_direct_formula():
     ce_vals, pen_vals = [], []
     eps = model.CLAMP_EPS
     for ex in prob.examples:
-        [bucket], [stack] = m.patient_forward(leaves2, m.pool_visits(h_c2, [ex]), [ex])
-        p = np.clip(bucket.y_hat.values[0, 0], eps, 1 - eps)
+        y_hat, _, [stack] = m.patient_forward(leaves2, m.pool_visits(h_c2, [ex]), [ex])
+        p = np.clip(y_hat.values[0, 0], eps, 1 - eps)
         y = ex.label_vec
         ce_vals.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
         a = stack.alpha.values[0, 0]

@@ -1,15 +1,16 @@
 """The bucketed patient path against the per-patient oracle.
 
 ``FrozenScorer.patient_forward`` runs all patients of a batch that share a
-visit count T as one stack: the GRU on (B, 1, .) operands, the location
-attention on (B, T) and the head on (B, 1, 2h). Between them the notes of a
-token count L run as one stack: the word projection, the scores, the note
-attention and the penalty on (B, L) operands. numpy runs a stacked product
-item by item with the kernel of a lone matrix, so every forward bit must equal
-the per-patient path of ``per_patient_path.py``: each patient's scores, o_v,
-location attention and note attention, the batch loss and its parts, and the
-predicted scores. The gradients sum the stacked rows in another order, so they
-must equal the oracle's to 1e-10.
+visit count T as one stack: the GRU on (B, 1, .) operands and the location
+attention on (B, T). Then the batch runs in batch order: the notes of a token
+count L as one stack, with the word projection, the scores, the note attention
+and the penalty on (B, L) operands, and the head and cross-entropy once on
+(N, 1, 2h). numpy runs a stacked product item by item with the kernel of a
+lone matrix, so every forward bit must equal the per-patient path of
+``per_patient_path.py``: each patient's scores, o_v, location attention and
+note attention, the batch loss and its parts, and the predicted scores. The
+gradients sum the stacked rows in another order, so they must equal the
+oracle's to 1e-10.
 """
 
 import functools
@@ -38,18 +39,21 @@ def close(a, b, tol=1e-10):
 
 
 def assert_forward_matches(net, leaves, h_c, batch):
-    """Every patient's outputs from the buckets equal the oracle's, bit for bit."""
+    """Every patient's outputs from the buckets and the batch-order scores
+    equal the oracle's, bit for bit."""
     visits = net.pool_visits(h_c, batch)
     want = oracle.forward_each(net, leaves, visits, batch)
-    buckets, stacks = net.patient_forward(leaves, visits, batch)
+    y_hat, buckets, stacks = net.patient_forward(leaves, visits, batch)
+    assert y_hat.shape == (len(batch), 1, want[0][0].shape[0])
+    for i, (want_y_hat, _, _, _) in enumerate(want):
+        assert np.array_equal(y_hat.values[i, 0], want_y_hat.values), i
     seen = np.sort(np.concatenate([b.members for b in buckets]))
     assert np.array_equal(seen, np.arange(len(batch)))
     for bucket in buckets:
         steps = bucket.alpha.shape[1]
         for b, i in enumerate(bucket.members):
-            y_hat, _, alpha, o_v = want[i]
+            _, _, alpha, o_v = want[i]
             assert len(batch[i].visit_codes) == steps
-            assert np.array_equal(bucket.y_hat.values[b, 0], y_hat.values), i
             assert np.array_equal(bucket.o_v.values[b, 0], o_v.values), i
             assert np.array_equal(bucket.alpha.values[b], alpha.values), i
     note_alpha = {}

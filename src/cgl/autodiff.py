@@ -60,7 +60,6 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "concat",
-    "stack",
     "reshape",
     "gather_rows",
     "fold_sum",
@@ -550,39 +549,32 @@ def _spread_backward(xv, ax, n, g):
     return (np.broadcast_to(g, xv.shape).copy(),)
 
 
-def concat(a, b, axis: int = 0) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    av, bv = a.values, b.values
-    if av.ndim != bv.ndim:
-        raise DimensionError(f"concat rank mismatch: {av.shape} vs {bv.shape}")
-    ax = axis if axis >= 0 else av.ndim + axis
-    if not 0 <= ax < av.ndim:
-        raise DimensionError(f"concat axis {axis} invalid for shape {av.shape}")
-    for d in range(av.ndim):
-        if d != ax and av.shape[d] != bv.shape[d]:
-            raise DimensionError(f"concat off-axis extents differ: {av.shape} vs {bv.shape}")
-    return _emit(_tape_of(a, b), np.concatenate([av, bv], axis=ax), (a, b), _concat_backward,
-                 av.shape[ax], ax)
-
-
-def _concat_backward(boundary, ax, g):
-    return tuple(np.split(g, [boundary], axis=ax))
-
-
-def stack(parts) -> Tensor:
-    """Tensors of one shape stacked on a new leading axis, as ``np.stack``."""
+def concat(parts, axis: int = 0) -> Tensor:
+    """The tensors of ``parts`` joined along ``axis``, as ``np.concatenate``:
+    one tape entry, whose backward is one ``np.split`` at the parts'
+    boundaries. A one-part list returns its tensor and records nothing."""
     parts = tuple(map(_lift, parts))
     if not parts:
-        raise ValueError("stack needs at least one tensor")
+        raise ValueError("concat needs at least one tensor")
     shape = parts[0].values.shape
-    if any(p.values.shape != shape for p in parts):
-        raise DimensionError(f"stack needs equal shapes, got "
-                             f"{sorted({p.values.shape for p in parts})}")
-    return _emit(_tape_of(*parts), np.stack([p.values for p in parts]), parts, _unstack)
+    ax = axis if axis >= 0 else len(shape) + axis
+    if not 0 <= ax < len(shape):
+        raise DimensionError(f"concat axis {axis} invalid for shape {shape}")
+    for p in parts[1:]:
+        other = p.values.shape
+        if len(other) != len(shape):
+            raise DimensionError(f"concat rank mismatch: {shape} vs {other}")
+        if any(d != ax and n != m for d, (n, m) in enumerate(zip(shape, other))):
+            raise DimensionError(f"concat off-axis extents differ: {shape} vs {other}")
+    if len(parts) == 1:
+        return parts[0]
+    bounds = np.cumsum([p.values.shape[ax] for p in parts[:-1]])
+    return _emit(_tape_of(*parts), np.concatenate([p.values for p in parts], axis=ax), parts,
+                 _concat_backward, bounds, ax)
 
 
-def _unstack(g):
-    return tuple(g)
+def _concat_backward(bounds, ax, g):
+    return tuple(np.split(g, bounds, axis=ax))
 
 
 def reshape(x, shape) -> Tensor:
@@ -664,9 +656,8 @@ def _group_mean_backward(shape, idx, indptr, g):
     return (_Deferred(True, shape, later_first, rows),)
 
 
-def fold_sum(parts, order=None) -> Tensor:
-    """The entries of ``parts``, flattened and concatenated, then taken in
-    ``order`` (a permutation) when it is given, summed left to right.
+def fold_sum(parts) -> Tensor:
+    """The entries of ``parts``, flattened and concatenated, summed left to right.
 
     ``((x0 + x1) + x2) + ...`` has the bits of a chain of scalar ``add`` ops,
     which a pairwise ``reduce_sum`` loses once there are 8 or more terms. Each
@@ -678,11 +669,6 @@ def fold_sum(parts, order=None) -> Tensor:
     flat = np.concatenate([p.values.ravel() for p in parts])
     if flat.size == 0:
         raise ValueError("fold_sum over no entries")
-    if order is not None:
-        order = np.asarray(order, dtype=np.intp)
-        if not np.array_equal(np.sort(order), np.arange(flat.size)):
-            raise ValueError(f"fold_sum order is not a permutation of {flat.size} entries")
-        flat = flat[order]
     return _emit(_tape_of(*parts), np.add.accumulate(flat)[-1], parts, _fold_backward,
                  tuple(p.values.shape for p in parts))
 

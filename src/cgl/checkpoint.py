@@ -89,10 +89,27 @@ def save_checkpoint(out_dir, model: CollaborativeGraphModel, vocab: Vocabulary,
     return out_dir
 
 
-def _read_arrays(path: Path, entries: list[dict],
-                 shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+def _count(value, least: int = 0) -> bool:
+    """Whether ``value`` is a JSON integer of at least ``least``; a bool is not one."""
+    return type(value) is int and value >= least
+
+
+def _array_of(key: str, items, ok, what: str) -> list:
+    """The manifest's ``key``, a JSON array whose every item passes ``ok``."""
+    if not isinstance(items, list):
+        raise ValueError(f"checkpoint key {key!r} is not a JSON array")
+    for item in items:
+        if not ok(item):
+            raise ValueError(f"checkpoint key {key!r} holds {item!r}, not {what}")
+    return items
+
+
+def _read_arrays(path: Path, entries, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
     """Read the named arrays from the blob, checking each against its shape."""
-    by_name = {entry["name"]: entry for entry in entries}
+    by_name = {entry["name"]: entry for entry in _array_of(
+        "arrays", entries, lambda e: isinstance(e, dict) and isinstance(e.get("name"), str)
+        and _count(e.get("offset")) and isinstance(e.get("shape"), list)
+        and all(map(_count, e["shape"])), "a {name, shape, offset} entry")}
     out = {}
     with open(path, "rb") as fh:
         for name, shape in shapes.items():
@@ -126,7 +143,7 @@ def _config_from(stored: dict) -> ModelConfig:
 def _code_index(edges: list, code_map: dict) -> CodeIndex:
     """The code map's index: its leaves are the mapped codes that are no edge's
     parent, sorted, and each maps to its own rank."""
-    for edge in edges:
+    for edge in edges:  # inline, not through _array_of: a predicate call per edge slows a load
         if not (isinstance(edge, list) and len(edge) == 2 and isinstance(edge[0], str)
                 and (edge[1] is None or isinstance(edge[1], str))):
             raise ValueError(f"checkpoint key 'ontology_edges' holds {edge!r}, "
@@ -153,21 +170,30 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
     in_dir = Path(in_dir)
     with open(in_dir / MANIFEST_NAME, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint {MANIFEST_NAME!r} is not a JSON object")
     if manifest.get("format") != FORMAT:
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     for key, kind in (("config", dict), ("ontology_edges", list), ("code_map", dict),
-                      ("vocab", dict), ("arrays", list), ("metric_ks", list)):
+                      ("vocab", dict)):
         if not isinstance(manifest[key], kind):
             raise ValueError(f"checkpoint key {key!r} is not a JSON "
                              f"{'object' if kind is dict else 'array'}")
     config = _config_from(manifest["config"])
+    if manifest["task"] != config.task:
+        raise ValueError(f"checkpoint key 'task' is {manifest['task']!r}, not its config's "
+                         f"task {config.task!r}")
     tree = _code_index(manifest["ontology_edges"], manifest["code_map"])
-    vocab_entries = manifest["vocab"]["entries"]
-    vocab = Vocabulary(
-        word_index={w: int(ix) for w, ix, _ in vocab_entries},
-        doc_freq={w: int(df) for w, _, df in vocab_entries},
-        doc_count=int(manifest["vocab"]["doc_count"]),
-    )
+    stored = manifest["vocab"]
+    entries = _array_of("vocab.entries", stored["entries"], lambda e: isinstance(e, list)
+                        and len(e) == 3 and isinstance(e[0], str) and _count(e[2], 1)
+                        and _count(e[1]) and e[1] < len(stored["entries"]),
+                        "a [word, index, document frequency] triple with an index in range")
+    if not _count(stored["doc_count"], 1):
+        raise ValueError(f"checkpoint key 'vocab.doc_count' is {stored['doc_count']!r}, "
+                         f"not a positive integer")
+    vocab = Vocabulary({w: ix for w, ix, _ in entries}, {w: df for w, _, df in entries},
+                       stored["doc_count"])
     arrays = _read_arrays(in_dir / BLOB_NAME, manifest["arrays"],
                           FrozenScorer.array_shapes(config, tree.n_leaves, len(vocab)))
     frozen = arrays.pop("frozen_code_repr")
@@ -176,4 +202,5 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
     return SimpleNamespace(
         model=model, tree=tree, edges=manifest["ontology_edges"], vocab=vocab,
         task=manifest["task"], hf_prefix=manifest["hf_prefix"],
-        metric_ks=tuple(manifest["metric_ks"]), split=manifest["split"])
+        metric_ks=tuple(_array_of("metric_ks", manifest["metric_ks"], lambda k: _count(k, 1),
+                                  "a positive integer")), split=manifest["split"])

@@ -14,18 +14,16 @@ One forward pass:
 3. Per patient: each feature visit embeds as the mean of its codes' final
    features (one pooling op for every visit of a batch), a GRU consumes the
    visit sequence, and a location attention over the GRU states yields the
-   visit summary o_v. The patients of a batch with the same number of visits
-   T form a bucket that runs as one stack: the GRU steps on (B, 1, d)
-   operands, the attention on (B, T); one gather puts the buckets' o_v back in
-   batch order. This keeps every bit of running each patient alone: numpy
-   multiplies a stacked (B, 1, d) @ (d, h) item by item with the kernel of a
-   lone (1, d) product, where the row-batched (B, d) @ (d, h) would not.
+   visit summary o_v.
 4. The latest note's word embeddings are projected and attended with o_v as
    the context; the attention weights are pulled toward per-note TF-IDF
-   targets by a rectification penalty added to the loss. The notes of a
-   batch with the same token count L form a stack, whose projection, scores,
-   softmax, summary o_n and penalty run on (B, L) operands, with the same
-   bits as one note alone.
+   targets by a rectification penalty added to the loss.
+   Steps 3-4 run a batch by length (``by_length``): the patients with T visits
+   form one :class:`Stack`, as do the notes with L tokens, and one concat and
+   one gather (``in_batch_order``) put the stacks' o_v, o_n and penalty terms
+   back in batch order. Each item keeps every bit of running alone: numpy
+   multiplies a stacked (B, 1, d) @ (d, h) item by item with the kernel of a
+   lone (1, d) product, where the row-batched (B, d) @ (d, h) would not.
 5. A sigmoid head on [o_v, o_n] scores all codes (or the binary event) as one
    (N, 1, 2h) stack in batch order; at thousands of codes the stack runs one
    cache-sized column block of the head weight at a time (``autodiff.matmul``).
@@ -61,12 +59,14 @@ __all__ = [
     "FrozenScorer",
     "CollaborativeGraphModel",
     "PatientExample",
-    "PatientBucket",
-    "NoteStack",
+    "Stack",
     "AdamOptimizer",
     "TrainingDivergenceError",
     "default_note_loss_weight",
     "aggregate",
+    "attend",
+    "by_length",
+    "in_batch_order",
     "rectified_penalty",
     "build_example",
     "prepare_examples",
@@ -170,24 +170,11 @@ class PatientExample:
 
 
 @dataclass
-class PatientBucket:
-    """The patients of a batch that share a visit count T, run as one stack
-    through the GRU and location attention.
-
-    ``members`` are their positions in the batch, in batch order; ``alpha``
-    is the (B, T) location attention and ``o_v`` the (B, 1, h) visit summaries.
-    """
-
-    members: np.ndarray
-    alpha: ad.Tensor
-    o_v: ad.Tensor
-
-
-@dataclass
-class NoteStack:
-    """The non-empty notes of a batch that share a token count L, run as one
-    stack: ``members`` are their patients' positions, ``alpha`` the (B, 1, L)
-    note attention."""
+class Stack:
+    """The items of a batch that share a length, run as one stack: the
+    patients of a visit count T or the notes of a token count L. ``members``
+    are their batch positions, in batch order; ``alpha`` is their (B, 1, T)
+    location or (B, 1, L) note attention."""
 
     members: np.ndarray
     alpha: ad.Tensor
@@ -277,6 +264,45 @@ def rectified_penalty(alpha: ad.Tensor, beta: np.ndarray) -> ad.Tensor:
     return ad.mul(ad.reduce_sum(inner, axis=-1), -1.0)
 
 
+def attend(scores: ad.Tensor, values: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    """Attention of a stack of B items over n positions: the (B, n, ...)
+    ``scores`` reshaped to (B, 1, n), their softmax over the last axis, and the
+    (B, 1, n) @ (B, n, h) summaries of ``values``. Returns the weights and the
+    summaries. numpy runs each item of a stacked product with the kernel of a
+    lone one, and sums each row of the softmax as it sums a lone row, so every
+    item keeps the bits of its sequence run alone."""
+    b, n = scores.shape[:2]
+    alpha = ad.softmax(ad.reshape(scores, (b, 1, n)), axis=-1)
+    return alpha, ad.matmul(alpha, values)
+
+
+def by_length(lengths: np.ndarray, run) -> tuple[list[Stack], list[ad.Tensor]]:
+    """Each nonzero length n of ``lengths`` as one stack, in increasing n:
+    ``run(members, n)`` gets the batch positions of that length and returns
+    the stack's (B, 1, n) attention and its (B, ...) rows. Returns the stacks
+    and their rows."""
+    stacks, rows = [], []
+    for n in np.unique(lengths[lengths > 0]):
+        members = np.flatnonzero(lengths == n)
+        alpha, out = run(members, n)
+        stacks.append(Stack(members, alpha))
+        rows.append(out)
+    return stacks, rows
+
+
+def in_batch_order(stacks: list[Stack], rows: list[ad.Tensor], shape) -> ad.Tensor:
+    """The stacks' ``rows`` as one tensor of ``shape`` in batch order: one
+    concat and one gather. An item in no stack gets a zero row."""
+    if not stacks:
+        return ad.constant(np.zeros(shape))
+    members = np.concatenate([s.members for s in stacks])
+    slot = np.full(shape[0], members.size, dtype=np.intp)
+    slot[members] = np.arange(members.size)
+    if members.size < shape[0]:
+        rows = [*rows, ad.constant(np.zeros((1, *shape[1:])))]
+    return ad.gather_rows(ad.concat(rows), slot)
+
+
 class FrozenScorer:
     """Steps 3-5 on frozen code features: the inference path.
 
@@ -324,7 +350,7 @@ class FrozenScorer:
         hold patient b's visits, in order. Each step runs on (B, 1, .) stacks.
         Gates: z = sig(xW+hU+b), r = sig(xW'+hU'+b'), n = tanh(xW''+(r*h)U''+b''),
         h' = z*h + (1-z)*n, from a zero initial state. Returns the (B, T, h)
-        states, the (B, T) attention and the (B, 1, h) summaries o_v.
+        states, the (B, 1, T) attention and the (B, 1, h) summaries o_v.
         """
         n, steps = positions.shape
         if not steps:
@@ -343,76 +369,44 @@ class FrozenScorer:
                                          ad.matmul(ad.mul(r, h), leaves["gru_state_cand"])),
                                   leaves["gru_bias_cand"]))
             h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), cand))
-            rows = h if rows is None else ad.concat(rows, h, axis=1)
-        alpha = ad.softmax(ad.matmul(rows, leaves["visit_context"]), axis=1)
-        o_v = ad.matmul(ad.reshape(alpha, (n, 1, steps)), rows)
-        return rows, alpha, o_v
+            rows = h if rows is None else ad.concat([rows, h], axis=1)
+        return rows, *attend(ad.matmul(rows, leaves["visit_context"]), rows)
 
     def note_attention(self, leaves, notes: list[np.ndarray], o_v: ad.Tensor):
         """Attention over each note's projected word embeddings, with row i of
         the (N, h, 1) ``o_v`` as the context of ``notes[i]``.
 
-        The notes of one token count L run as one stack: the (B, L, w) words
-        and their (B, L, w) @ (w, h) projection, the (B, L, h) @ (B, h, 1)
-        scores, the softmax over the last axis of (B, 1, L) and the
-        (B, 1, L) @ (B, L, h) summaries. numpy runs each item of a stacked
-        product with the kernel of a lone note's product, and sums each row of
-        the softmax as it sums a lone note, so every item keeps the bits of
-        its note run alone.
-
-        Returns the :class:`NoteStack` s in increasing L, whose ``members``
-        index ``notes``, and the (N, 1, h) summaries o_n, zero for an empty
-        note.
+        The notes of one token count L run as one stack: the (B, L, w) words,
+        their (B, L, w) @ (w, h) projection, the (B, L, h) @ (B, h, 1) scores
+        and ``attend``. Returns the note :class:`Stack` s in increasing L and
+        the (N, 1, h) summaries o_n, zero for an empty note.
         """
-        sizes = np.fromiter(map(len, notes), dtype=np.intp, count=len(notes))
-        h = self.config.gru_hidden
-        stacks, table = [], None
-        for length in np.unique(sizes[sizes > 0]):
-            members = np.flatnonzero(sizes == length)
+        def run(members, _):
             words = ad.gather_rows(leaves["word_embed"], np.stack([notes[i] for i in members]))
             proj = ad.matmul(words, leaves["word_proj"])
-            scores = ad.matmul(proj, ad.gather_rows(o_v, members))
-            alpha = ad.softmax(ad.reshape(scores, (members.size, 1, length)), axis=-1)
-            o_n = ad.matmul(alpha, proj)
-            table = o_n if table is None else ad.concat(table, o_n, axis=0)
-            stacks.append(NoteStack(members, alpha))
-        if not stacks:
-            return [], ad.constant(np.zeros((len(notes), 1, h)))
-        slot = np.full(len(notes), table.shape[0], dtype=np.intp)  # empty notes: a zero row
-        slot[np.concatenate([s.members for s in stacks])] = np.arange(table.shape[0])
-        if not sizes.all():
-            table = ad.concat(table, ad.constant(np.zeros((1, 1, h))), axis=0)
-        return stacks, ad.gather_rows(table, slot)
+            return attend(ad.matmul(proj, ad.gather_rows(o_v, members)), proj)
+
+        stacks, o_n = by_length(np.array([len(tokens) for tokens in notes]), run)
+        return stacks, in_batch_order(stacks, o_n, (len(notes), 1, self.config.gru_hidden))
 
     def patient_forward(self, leaves, visits: ad.Tensor, examples: list[PatientExample]
-                        ) -> tuple[ad.Tensor, list[PatientBucket], list[NoteStack]]:
+                        ) -> tuple[ad.Tensor, list[Stack], list[Stack]]:
         """Scores and attention for a batch whose pooled visits are the rows
-        of ``visits``, in ``pool_visits`` order.
-
-        Patients with the same number of visits form one bucket, in increasing
-        order of that number; the GRU and the location attention run once per
-        bucket on stacks. Then ``note_attention`` and the head run once on the
-        whole batch, in batch order. Returns the (N, 1, out) scores, the buckets
-        and the note stacks, whose ``members`` are batch positions.
-        """
+        of ``visits``, in ``pool_visits`` order: the GRU and the location
+        attention run once per visit count (a bucket), ``note_attention`` and
+        the head once on the batch. Returns the (N, 1, out) scores in batch
+        order, the buckets and the note stacks."""
         lengths = np.array([len(ex.visit_codes) for ex in examples])
         firsts = np.cumsum(lengths) - lengths
-        buckets = []
-        for steps in np.unique(lengths):
-            members = np.flatnonzero(lengths == steps)
-            _, alpha, o_v = self.encode_visits(leaves, visits,
-                                               firsts[members, None] + np.arange(steps))
-            buckets.append(PatientBucket(members, alpha, o_v))
-        o_v = buckets[0].o_v
-        for bucket in buckets[1:]:
-            o_v = ad.concat(o_v, bucket.o_v, axis=0)
-        o_v = ad.gather_rows(o_v, np.argsort(np.concatenate([b.members for b in buckets])))
+        buckets, o_v = by_length(lengths, lambda members, steps: self.encode_visits(
+            leaves, visits, firsts[members, None] + np.arange(steps))[1:])
         n, h = len(examples), self.config.gru_hidden
+        o_v = in_batch_order(buckets, o_v, (n, 1, h))
         stacks, o_n = [], ad.constant(np.zeros((n, 1, h)))
         if self.config.use_notes:
             stacks, o_n = self.note_attention(leaves, [ex.note_tokens for ex in examples],
                                               ad.reshape(o_v, (n, h, 1)))
-        logits = ad.add(ad.matmul(ad.concat(o_v, o_n, axis=2), leaves["head_weight"]),
+        logits = ad.add(ad.matmul(ad.concat([o_v, o_n], axis=2), leaves["head_weight"]),
                         leaves["head_bias"])
         return ad.sigmoid(logits), buckets, stacks
 
@@ -504,14 +498,10 @@ class CollaborativeGraphModel(FrozenScorer):
     def code_base_embedding(self, leaves) -> ad.Tensor:
         if not self.config.use_hierarchical_embedding:
             return leaves["code_embed"]
-        parts = [
+        return ad.concat([
             ad.gather_rows(leaves[f"level_embed_{lvl + 1}"], self.tree.ancestors[:, lvl])
             for lvl in range(self.tree.levels)
-        ]
-        out = parts[0]
-        for part in parts[1:]:
-            out = ad.concat(out, part, axis=1)
-        return out
+        ], axis=1)
 
     def ontology_weights(self, leaves) -> ad.Tensor:
         """sigmoid(slope_j * level + shift_j) for each link (i, j) of ``links``,
@@ -568,23 +558,19 @@ class CollaborativeGraphModel(FrozenScorer):
         """Mean cross-entropy plus weighted mean note penalty over a batch.
 
         The per-patient terms are summed in batch order, left to right, as a
-        running sum over the patients would; patients without a note stack are
-        left out of the penalty sum, where their terms of 0 would change no bit.
+        running sum over the patients would; a patient without a note stack
+        adds a penalty of +0.0, which changes no bit of the sum.
         """
         if not examples:
             raise ValueError("empty batch")
         y_hat, _, stacks = self.patient_forward(leaves, self.pool_visits(h_c, examples),
                                                 examples)
         ce = self._cross_entropy(y_hat, np.stack([ex.label_vec for ex in examples])[:, None])
-        pen = [rectified_penalty(s.alpha, np.stack([examples[i].beta
-                                                    for i in s.members])[:, None])
+        pen = [rectified_penalty(s.alpha, np.stack([examples[i].beta for i in s.members])[:, None])
                for s in stacks]
-        ce_sum = ad.fold_sum([ce])
-        pen_sum = (ad.fold_sum(pen, order=np.argsort(np.concatenate([s.members for s in stacks])))
-                   if stacks else ad.constant(0.0))
-        n = float(len(examples))
-        ce_mean = ad.mul(ce_sum, 1.0 / n)
-        pen_mean = ad.mul(pen_sum, 1.0 / n)
+        n = len(examples)
+        ce_mean = ad.mul(ad.fold_sum([ce]), 1.0 / n)
+        pen_mean = ad.mul(ad.fold_sum([in_batch_order(stacks, pen, (n, 1))]), 1.0 / n)
         loss = ad.add(ce_mean, ad.mul(pen_mean, self.config.note_loss_weight))
         return loss, ce_mean, pen_mean
 

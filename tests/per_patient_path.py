@@ -30,7 +30,7 @@ def encode_visits(model, leaves, visit_rows):
                                      ad.matmul(ad.mul(r, h), leaves["gru_state_cand"])),
                               leaves["gru_bias_cand"]))
         h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), cand))
-        rows = h if rows is None else ad.concat(rows, h, axis=0)
+        rows = h if rows is None else ad.concat([rows, h], axis=0)
     alpha = ad.softmax(ad.matmul(rows, leaves["visit_context"]), axis=0)
     o_v = ad.matmul(alpha, rows)
     return rows, alpha, o_v
@@ -67,7 +67,7 @@ def patient_forward(model, leaves, visits, first, example):
         note_alpha, o_n = note_attention(model, leaves, example.note_tokens, o_v)
     else:
         note_alpha, o_n = None, ad.constant(np.zeros(model.config.gru_hidden))
-    out = ad.concat(o_v, o_n, axis=0)
+    out = ad.concat([o_v, o_n], axis=0)
     logits = ad.add(ad.matmul(out, leaves["head_weight"]), leaves["head_bias"])
     return ad.sigmoid(logits), note_alpha, alpha, o_v
 

@@ -1,8 +1,10 @@
+import ast
 import functools
 import gc
 import math
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,24 +280,43 @@ def test_mean_zero_length_axis():
 
 
 def test_concat_values_and_shapes():
-    assert np.array_equal(ad.concat(np.array([1.0]), np.array([2.0])).values, [1.0, 2.0])
+    assert np.array_equal(ad.concat([np.array([1.0]), np.array([2.0])]).values, [1.0, 2.0])
     parts = [np.ones((5, 32)) * i for i in range(5)]
-    out = parts[0]
-    acc = ad.constant(out)
-    for p in parts[1:]:
-        acc = ad.concat(acc, p, axis=1)
-    assert acc.shape == (5, 160)
-    with pytest.raises(ad.DimensionError):
-        ad.concat(np.ones((2, 3)), np.ones((2, 4)), axis=0)
+    out = ad.concat(parts, axis=1)
+    assert out.shape == (5, 160)
+    assert np.array_equal(out.values, np.concatenate(parts, axis=1))
+    assert ad.concat(parts, axis=-1).shape == (5, 160)
+
+
+def test_concat_errors():
+    with pytest.raises(ValueError, match="at least one"):
+        ad.concat([])
+    with pytest.raises(ad.DimensionError, match="rank"):
+        ad.concat([np.ones((2, 3)), np.ones((2, 3)), np.ones(3)])
+    with pytest.raises(ad.DimensionError, match="axis 2"):
+        ad.concat([np.ones((2, 3)), np.ones((2, 3))], axis=2)
+    with pytest.raises(ad.DimensionError, match="axis -3"):
+        ad.concat([np.ones((2, 3))], axis=-3)
+    with pytest.raises(ad.DimensionError, match="off-axis"):
+        ad.concat([np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 4))], axis=0)
+
+
+def test_concat_of_one_part_records_nothing():
+    tape = ad.Tape()
+    a = tape.leaf(np.ones((2, 2)))
+    assert ad.concat([a], axis=1) is a
+    assert tape._entries == []
 
 
 def test_concat_gradient_splits():
     tape = ad.Tape()
     a = tape.leaf(np.ones((2, 2)))
     b = tape.leaf(np.ones((3, 2)))
-    ad.reduce_sum(ad.concat(a, b, axis=0)).backward()
-    assert np.array_equal(a.grad, np.ones((2, 2)))
-    assert np.array_equal(b.grad, np.ones((3, 2)))
+    c = ad.constant(np.ones((1, 2)))
+    w = np.arange(12.0).reshape(6, 2)
+    ad.reduce_sum(ad.mul(ad.concat([a, c, b], axis=0), w)).backward()
+    assert np.array_equal(a.grad, w[:2])
+    assert np.array_equal(b.grad, w[3:])
 
 
 def test_gather_rows_repeated_and_empty():
@@ -399,49 +420,21 @@ def test_gather_rows_index_shape_gives_output_shape():
         ad.gather_rows(table0, np.array([[1], [4]]))
 
 
-def test_stack_values_and_gradient_vs_fd():
-    rng = np.random.default_rng(29)
-    parts0 = [rng.normal(size=(2, 3)) for _ in range(3)]
-    w = rng.normal(size=(3, 2, 3))
-
-    def loss_of(k):
-        return lambda arr: float(np.sum(np.tanh(np.stack(
-            [arr if i == k else p for i, p in enumerate(parts0)])) * w))
-
-    tape = ad.Tape()
-    parts = [tape.leaf(p) for p in parts0[:2]] + [ad.constant(parts0[2])]
-    out = ad.stack(parts)
-    assert np.array_equal(out.values, np.stack(parts0))
-    ad.reduce_sum(ad.mul(ad.tanh(out), w)).backward()
-    for k in range(2):
-        assert rel_err(parts[k].grad, fd_grad(loss_of(k), parts0[k].copy())) < 1e-6
-    assert ad.stack([ad.constant(p) for p in parts0]).tape is None
-    with pytest.raises(ad.DimensionError, match="equal shapes"):
-        ad.stack([np.ones(2), np.ones(3)])
-    with pytest.raises(ValueError):
-        ad.stack([])
-
-
 def test_fold_sum_is_a_left_fold():
-    """The bits of a chain of scalar adds, in the given order, where a
+    """The bits of a chain of scalar adds, in flattened order, where a
     pairwise sum differs; every entry's gradient is the output's."""
-    order = np.random.default_rng(31).permutation(20)
     flat = np.array([1.0] + [1e-16] * 19)  # each tiny term alone rounds away
-    entries = np.empty(20)
-    entries[order] = flat
-    parts0 = list(entries.reshape(5, 4, 1))
+    parts0 = list(flat.reshape(5, 4, 1))
     chain = functools.reduce(lambda acc, v: ad.add(acc, v), [ad.constant(v) for v in flat])
     tape = ad.Tape()
     parts = [tape.leaf(p) for p in parts0]
-    total = ad.fold_sum(parts, order=order)
+    total = ad.fold_sum(parts)
     assert total.shape == ()
     assert total.values.tobytes() == chain.values.tobytes()
     assert total.item() == 1.0 < flat.sum()  # a pairwise sum keeps the tiny terms
     ad.mul(total, 3.0).backward()
     assert all(np.array_equal(p.grad, np.full((4, 1), 3.0)) for p in parts)
     assert ad.fold_sum([np.array(2.0), np.array(0.5)]).item() == 2.5
-    with pytest.raises(ValueError, match="permutation"):
-        ad.fold_sum(parts0, order=np.zeros(20, dtype=np.intp))
     with pytest.raises(ValueError):
         ad.fold_sum([])
 
@@ -697,3 +690,40 @@ def test_check_gradients_samples_large_arrays():
     report = ad.check_gradients(f, params, step=1e-6, sample=50, seed=1)
     assert report.arrays["w"].entries_checked == 50
     assert report.max_rel_err < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the exported surface
+
+# Exported for callers outside the package: the errors a caller may catch, and
+# the finite-difference checker with its report.
+OUTSIDE_CALLERS = {"DimensionError", "NumericDomainError", "TapeError", "check_gradients",
+                   "GradientCheckReport"}
+
+
+def names_read_from_autodiff(path: Path) -> set[str]:
+    """The autodiff names a module reads: attributes of the module under any
+    name it is imported as, and names imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "autodiff":
+                    aliases.add(alias.asname or alias.name)
+                elif (node.module or "").endswith("autodiff"):
+                    names.add(alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_is_used_by_the_package():
+    """No exported function that the model never calls: every name of
+    ``cgl.autodiff.__all__`` is read by another ``cgl`` module."""
+    package = Path(ad.__file__).parent
+    used = set().union(*(names_read_from_autodiff(path) for path in package.glob("*.py")
+                         if path.name != "autodiff.py"))
+    assert set(ad.__all__) - OUTSIDE_CALLERS - used == set()

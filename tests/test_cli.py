@@ -425,12 +425,14 @@ def test_predict_heart_failure_prints_a_plain_number(tmp_path, capsys):
 
 
 def broken_checkpoint(workspace, tmp_path, edit):
-    """A copy of the workspace checkpoint whose manifest ``edit`` changes."""
+    """A copy of the workspace checkpoint whose manifest ``edit`` changes, or
+    replaces with what it returns."""
     ck = tmp_path / "broken"
     shutil.copytree(workspace["run"] / "checkpoint", ck)
     manifest = json.loads((ck / "manifest.json").read_text(encoding="utf-8"))
-    edit(manifest)
-    (ck / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    replaced = edit(manifest)
+    (ck / "manifest.json").write_text(json.dumps(manifest if replaced is None else replaced),
+                                      encoding="utf-8")
     return ck
 
 
@@ -469,6 +471,18 @@ def drop_config_key(name):
 def set_manifest_key(name, value):
     def edit(manifest):
         manifest[name] = value
+    return edit
+
+
+def set_vocab_key(name, value):
+    def edit(manifest):
+        manifest["vocab"][name] = value
+    return edit
+
+
+def set_first_vocab_entry(entry):
+    def edit(manifest):
+        manifest["vocab"]["entries"][0] = entry
     return edit
 
 
@@ -531,7 +545,19 @@ def set_first_edge(edge):
     (set_first_edge("a"), "ontology_edges", "edge-string"),
 ]] + [pytest.param(set_manifest_key(key, value), key, id=f"manifest-{key}")
       for key, value in [("config", 5), ("vocab", []), ("metric_ks", 3), ("code_map", []),
-                         ("ontology_edges", {}), ("arrays", 5)]])
+                         ("ontology_edges", {}), ("arrays", 5)]]
+  + [pytest.param(edit, name, id=ident) for edit, name, ident in [
+    (lambda manifest: [manifest], "manifest.json", "manifest-is-an-array"),
+    (set_manifest_key("task", 7), "task", "task-not-a-task"),
+    (set_manifest_key("task", "heart_failure"), "task", "task-not-the-config-task"),
+    (set_vocab_key("entries", 5), "vocab.entries", "vocab-entries-int"),
+    (set_first_vocab_entry(["w", 0]), "vocab.entries", "vocab-entry-pair"),
+    (set_first_vocab_entry(["w", 10**6, 1]), "vocab.entries", "vocab-index-past-end"),
+    (set_vocab_key("doc_count", [1]), "vocab.doc_count", "vocab-doc_count-list"),
+    (set_vocab_key("doc_count", 0), "vocab.doc_count", "vocab-doc_count-zero"),
+    (set_manifest_key("arrays", [5]), "arrays", "arrays-item-int"),
+    (set_manifest_key("metric_ks", ["a"]), "metric_ks", "metric_ks-item-string"),
+]])
 def test_predict_bad_checkpoint_array_exits_2(workspace, tmp_path, capsys, edit, name):
     _, patient = first_split_patient(workspace, "test")
     hist_path = tmp_path / "history.json"

@@ -328,7 +328,7 @@ def test_single_visit_attention_is_identity():
     m = prob.model
     vec = np.random.default_rng(7).normal(size=(1, prob.config.code_layer_dims[-1]))
     rows, alpha, o_v = encode_one(m, vec)
-    assert np.array_equal(alpha.values, [[1.0]])
+    assert np.array_equal(alpha.values, [[[1.0]]])
     assert np.array_equal(o_v.values[0], rows.values[0])
 
 
@@ -371,7 +371,7 @@ def test_attention_convexity():
     rows, alpha, o_v = encode_one(m, rng.normal(size=(4, prob.config.code_layer_dims[-1])))
     assert abs(alpha.values.sum() - 1.0) < 1e-12
     assert np.all(alpha.values >= 0)
-    mix = alpha.values[0] @ rows.values[0]
+    mix = alpha.values[0, 0] @ rows.values[0]
     assert np.max(np.abs(o_v.values[0, 0] - mix)) < 1e-12
 
 

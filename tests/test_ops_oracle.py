@@ -168,14 +168,25 @@ def test_reductions_match_oracle(seed, op, shape, axis, tracked):
 
 
 @given(seed=seeds, base=st.lists(dims, min_size=1, max_size=2).map(tuple),
-       axis=st.integers(0, 1), extra=dims, tracked=st.tuples(st.booleans(), st.booleans()))
-def test_concat_matches_oracle(seed, base, axis, extra, tracked):
-    axis = axis % len(base)
+       axis=st.integers(-2, 1), extents=st.lists(dims, min_size=1, max_size=4),
+       data=st.data())
+def test_concat_matches_oracle(seed, base, axis, extents, data):
+    """One n-ary concat of 1-4 parts against a left fold of the binary closure
+    form: equal values and gradients bit for bit, for every mix of tracked
+    and untracked parts."""
+    if not -len(base) <= axis < len(base):
+        axis = 0
     rng = np.random.default_rng(seed)
-    sb = base[:axis] + (extra,) + base[axis + 1:]
-    a, b = rng.normal(size=base), rng.normal(size=sb)
-    call = lambda mod, xs: mod.concat(*xs, axis=axis)
-    assert_matches_oracle(call, [a, b], tracked, seed)
+    ax = axis % len(base)
+    parts = [rng.normal(size=base[:ax] + (n,) + base[ax + 1:]) for n in extents]
+    tracked = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+
+    def call(mod, xs):
+        if mod is ad:
+            return ad.concat(xs, axis=axis)
+        return functools.reduce(lambda acc, x: old.concat(acc, x, axis=axis), xs)
+
+    assert_matches_oracle(call, parts, tracked, seed)
 
 
 @given(seed=seeds, shape=shapes, flat=st.booleans(), tracked=st.booleans())
@@ -390,12 +401,12 @@ def test_tape_entries_hold_no_closure():
     x, w = tape.leaf(rng.normal(size=(3, 2))), tape.leaf(rng.normal(size=(2, 2)))
     state = ad.BatchNormState(2)
     h = ad.batchnorm(ad.matmul(x, w), np.ones(2), np.zeros(2), state)
-    h = ad.concat(ad.relu(h), ad.clamp(ad.tanh(h), -0.5, 0.5), axis=0)
+    h = ad.concat([ad.relu(h), ad.clamp(ad.tanh(h), -0.5, 0.5), h], axis=0)
     h = ad.softmax(ad.sub(1.0, ad.mul(ad.sigmoid(h), ad.add(h, 1.0))), axis=0)
     h = ad.group_mean(ad.gather_rows(h, [0, 1, 5]), [np.array([0, 2]), np.array([1])])
     pattern = sparse.csr_matrix(np.eye(2))
     h = ad.spmm(pattern, pattern.data, h)
-    h = ad.matmul(ad.stack([h, h]), w)
+    h = ad.matmul(ad.reshape(h, (2, 1, 2)), w)
     loss = ad.fold_sum([ad.log(ad.reduce_mean(ad.reshape(ad.add(h, 2.0), (-1,)), axis=0))])
     for _, _, backward in tape._entries:
         assert isinstance(backward, functools.partial)

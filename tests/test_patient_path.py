@@ -28,7 +28,9 @@ from hypothesis import strategies as st
 
 import per_patient_path as oracle
 from cgl import autodiff as ad
-from cgl.model import FrozenScorer, ModelConfig, ModelParams, PatientExample, predict_scores
+from cgl import model
+from cgl.model import (FrozenScorer, ModelConfig, ModelParams, PatientExample, by_length,
+                       in_batch_order, predict_scores)
 from problem_fixtures import build_problem
 
 
@@ -39,23 +41,36 @@ def close(a, b, tol=1e-10):
 
 
 def assert_forward_matches(net, leaves, h_c, batch):
-    """Every patient's outputs from the buckets and the batch-order scores
-    equal the oracle's, bit for bit."""
+    """Every patient's scores, o_v, location attention and note attention
+    equal the oracle's, bit for bit. The scores and o_v are read in batch
+    order, o_v from the join that the head and the note attention read."""
     visits = net.pool_visits(h_c, batch)
     want = oracle.forward_each(net, leaves, visits, batch)
-    y_hat, buckets, stacks = net.patient_forward(leaves, visits, batch)
+    joins = []
+
+    def join(*args):
+        joins.append(in_batch_order(*args))
+        return joins[-1]
+
+    model.in_batch_order = join
+    try:
+        y_hat, buckets, stacks = net.patient_forward(leaves, visits, batch)
+    finally:
+        model.in_batch_order = in_batch_order
+    o_v = joins[0]
     assert y_hat.shape == (len(batch), 1, want[0][0].shape[0])
-    for i, (want_y_hat, _, _, _) in enumerate(want):
+    assert o_v.shape == (len(batch), 1, net.config.gru_hidden)
+    for i, (want_y_hat, _, _, want_o_v) in enumerate(want):
         assert np.array_equal(y_hat.values[i, 0], want_y_hat.values), i
+        assert np.array_equal(o_v.values[i, 0], want_o_v.values), i
     seen = np.sort(np.concatenate([b.members for b in buckets]))
     assert np.array_equal(seen, np.arange(len(batch)))
     for bucket in buckets:
-        steps = bucket.alpha.shape[1]
+        steps = bucket.alpha.shape[2]
+        assert bucket.alpha.shape == (bucket.members.size, 1, steps)
         for b, i in enumerate(bucket.members):
-            _, _, alpha, o_v = want[i]
             assert len(batch[i].visit_codes) == steps
-            assert np.array_equal(bucket.o_v.values[b, 0], o_v.values), i
-            assert np.array_equal(bucket.alpha.values[b], alpha.values), i
+            assert np.array_equal(bucket.alpha.values[b, 0], want[i][2].values), i
     note_alpha = {}
     for stack in stacks:
         assert stack.alpha.shape[:2] == (stack.members.size, 1)
@@ -179,6 +194,8 @@ note_lengths = st.one_of(st.sampled_from([0, 1, 2, 9, 129]), st.integers(0, 20))
        use_notes=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(notes=[(1, 0), (2, 0), (1, 0)], use_notes=True, seed=0)  # every note empty
 @example(notes=[(1, 4), (2, 0), (1, 0), (3, 4)], use_notes=True, seed=1)  # some empty
+@example(notes=[(2, 0), (1, 3), (3, 5), (1, 3), (2, 0)], use_notes=True,
+         seed=7)  # empty at batch position 0, among two stacks
 @example(notes=[(1, 1), (2, 1), (3, 1), (1, 1)], use_notes=True, seed=2)  # only L = 1
 @example(notes=[(1, 1), (2, 6), (1, 1), (3, 0)], use_notes=True, seed=3)  # L = 1 among others
 @example(notes=[(k % 3 + 1, 7) for k in range(9)], use_notes=True, seed=4)  # one L
@@ -190,6 +207,38 @@ def test_note_length_mixes_match_the_per_patient_path(notes, use_notes, seed):
     predictions equal the per-patient path's."""
     prob = fixture_net("diagnosis", use_notes)
     assert_batch_matches(prob, mixed_batch(prob, notes, seed))
+
+
+def test_join_puts_the_stacks_rows_in_batch_order():
+    """``by_length`` runs each nonzero length once, in increasing length, and
+    ``in_batch_order`` joins the stacks' rows with one concat and one gather:
+    a zero row for each item in no stack, and each row's gradient back to its
+    stack's row."""
+    lengths = np.array([0, 3, 1, 3, 0, 1, 2])
+    tape = ad.Tape()
+    calls = []
+
+    def run(members, n):
+        calls.append((members.tolist(), n))
+        rows = tape.leaf(np.stack([np.full((1, 2), 10.0 * i + n) for i in members]))
+        return ad.constant(np.zeros((members.size, 1, n))), rows
+
+    stacks, rows = by_length(lengths, run)
+    assert calls == [([2, 5], 1), ([6], 2), ([1, 3], 3)]
+    assert [s.members.tolist() for s in stacks] == [m for m, _ in calls]
+    out = in_batch_order(stacks, rows, (7, 1, 2))
+    assert len(tape._entries) == 2
+    assert np.array_equal(out.values[:, 0, 0], [0, 13, 21, 33, 0, 51, 62])
+    w = np.arange(14.0).reshape(7, 1, 2)
+    ad.reduce_sum(ad.mul(out, w)).backward()
+    for stack, r in zip(stacks, rows):
+        assert np.array_equal(r.grad, w[stack.members])
+
+    tape = ad.Tape()
+    stacks, rows = by_length(np.array([2, 2]), run)
+    assert len(in_batch_order(stacks, rows, (2, 1, 2)).tape._entries) == 1  # the gather
+    empty = in_batch_order([], [], (3, 1))
+    assert empty.tape is None and np.array_equal(empty.values, np.zeros((3, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,11 @@ def _collect_arrays(model: CollaborativeGraphModel) -> dict[str, np.ndarray]:
     return arrays
 
 
-def save_checkpoint(out_dir, model: CollaborativeGraphModel, vocab: Vocabulary,
-                    hf_prefix: str | None = None, metric_ks=(20, 40),
-                    split: dict | None = None) -> Path:
+def save_checkpoint(out_dir, model: CollaborativeGraphModel, vocab: Vocabulary, *,
+                    split: dict, hf_prefix: str | None = None, metric_ks=(20, 40)) -> Path:
+    """``split`` is ``{"counts": [train, valid, test], "seed": seed}``, as
+    ``cgl evaluate`` re-splits the dataset by it."""
+    _check_split(split)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     arrays = _collect_arrays(model)
@@ -87,6 +89,15 @@ def save_checkpoint(out_dir, model: CollaborativeGraphModel, vocab: Vocabulary,
     with open(out_dir / BLOB_NAME, "wb") as fh:
         fh.write(b"".join(blob_parts))
     return out_dir
+
+
+def _check_split(split):
+    if not (isinstance(split, dict) and isinstance(split.get("counts"), list)
+            and len(split["counts"]) == 3 and all(map(_count, split["counts"]))
+            and _count(split.get("seed"))):
+        raise ValueError(f"checkpoint key 'split' is {split!r}, not three non-negative "
+                         f"integer counts and a non-negative integer seed")
+    return split
 
 
 def _count(value, least: int = 0) -> bool:
@@ -183,6 +194,10 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
     if manifest["task"] != config.task:
         raise ValueError(f"checkpoint key 'task' is {manifest['task']!r}, not its config's "
                          f"task {config.task!r}")
+    split = _check_split(manifest["split"])
+    if not isinstance(manifest["hf_prefix"], (str, type(None))):
+        raise ValueError(f"checkpoint key 'hf_prefix' is {manifest['hf_prefix']!r}, "
+                         f"not null or a string")
     tree = _code_index(manifest["ontology_edges"], manifest["code_map"])
     stored = manifest["vocab"]
     entries = _array_of("vocab.entries", stored["entries"], lambda e: isinstance(e, list)
@@ -203,4 +218,4 @@ def load_checkpoint(in_dir) -> SimpleNamespace:
         model=model, tree=tree, edges=manifest["ontology_edges"], vocab=vocab,
         task=manifest["task"], hf_prefix=manifest["hf_prefix"],
         metric_ks=tuple(_array_of("metric_ks", manifest["metric_ks"], lambda k: _count(k, 1),
-                                  "a positive integer")), split=manifest["split"])
+                                  "a positive integer")), split=split)

@@ -15,11 +15,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DataError, EhrDataset, GeneratorConfig, generate_synthetic, load_dataset,
-                   make_labels, split_dataset)
+from .data import (DataError, EhrDataset, GeneratorConfig, dense_rows, generate_synthetic,
+                   load_dataset, make_labels, split_dataset)
 from .experiment import TrainSettings, assemble, derive_seeds, history_to_example
 from .experiment import train as run_training
 from .graphs import export_adjacency
@@ -275,8 +273,8 @@ def cmd_evaluate(args) -> int:
     for line in lines:
         print(line)
 
+    labels = dense_rows([ex.positives for ex in examples], scores.shape[-1])
     if bundle.task == "diagnosis":
-        labels = np.stack([ex.label_vec for ex in examples])
         n_pos = (labels != 0).sum(axis=1).tolist()
         hits = [top_k_hits(top, labels, k).tolist() for k in ks]
         rows = [[ex.pid, n_pos[i]] + [h[i] / n_pos[i] if n_pos[i] else 0.0 for h in hits]
@@ -284,7 +282,7 @@ def cmd_evaluate(args) -> int:
         write_csv(out_dir / "per_patient.csv",
                   ["patient", "positives"] + [f"r{k}" for k in ks], rows)
     else:
-        rows = [[ex.pid, float(scores[i][0]), float(ex.label_vec[0])]
+        rows = [[ex.pid, float(scores[i][0]), float(labels[i][0])]
                 for i, ex in enumerate(examples)]
         write_csv(out_dir / "per_patient.csv", ["patient", "score", "label"], rows)
     print(f"wrote {out_dir / 'report.txt'}")
@@ -307,8 +305,7 @@ def _load_history_file(path) -> list[dict]:
 def _score_history(bundle, opts: Options):
     """The example built from the ``history`` file, its scores and note attention."""
     visits = _load_history_file(opts.require("history"))
-    n_out = bundle.model.params.arrays["head_bias"].shape[0]
-    example = history_to_example(visits, bundle.tree, bundle.vocab, n_out)
+    example = history_to_example(visits, bundle.tree, bundle.vocab)
     [(scores, alpha)] = bundle.model.predict_examples([example])
     return example, scores, alpha
 

@@ -29,7 +29,7 @@ __all__ = [
     "Patient",
     "EhrDataset",
     "LoadReport",
-    "LabelSet",
+    "dense_rows",
     "load_dataset",
     "save_dataset",
     "make_labels",
@@ -155,37 +155,34 @@ def save_dataset(dataset: EhrDataset, path) -> None:
 # labels and splits
 
 
-@dataclass
-class LabelSet:
-    task: str
-    n_codes: int
-    positives: dict[str, list[int]]  # diagnosis: leaf indices in the label visit
-    hf: dict[str, int]  # heart-failure flag per patient
-    hf_prefix: str | None = None
+def dense_rows(index_lists, width: int) -> np.ndarray:
+    """One float64 0/1 row of ``width`` per index list, ones at its indices.
 
-    def label_vector(self, pid: str) -> np.ndarray:
-        if self.task == "diagnosis":
-            y = np.zeros(self.n_codes, dtype=np.float64)
-            y[self.positives[pid]] = 1.0
-            return y
-        return np.array([float(self.hf[pid])])
+    Labels and occurred codes are stored as indices; this builds their dense
+    rows only where a loss or a metric needs them, per batch or per split.
+    """
+    rows = np.zeros((len(index_lists), width), dtype=np.float64)
+    for row, indices in zip(rows, index_lists):
+        row[indices] = 1.0
+    return rows
 
 
 def make_labels(dataset: EhrDataset, task: str, tree: CodeIndex,
-                hf_prefix: str | None = None) -> LabelSet:
-    """Labels from each patient's last visit only."""
+                hf_prefix: str | None = None) -> dict[str, list[int]]:
+    """Labels from each patient's last visit only, as each pid's sorted
+    positive output indices: the label visit's leaves for diagnosis, [0] or
+    [] for the binary task."""
     if task not in ("diagnosis", "heart_failure"):
         raise ValueError(f"unknown task {task!r}")
     if task == "heart_failure" and not hf_prefix:
         raise ValueError("heart_failure labels need a code prefix")
     positives: dict[str, list[int]] = {}
-    hf: dict[str, int] = {}
     for p in dataset.patients:
         last = p.label_visit
-        positives[p.pid] = sorted(set(tree.resolve(last.codes, p.pid)))
-        if hf_prefix:
-            hf[p.pid] = int(any(c.startswith(hf_prefix) for c in last.codes))
-    return LabelSet(task, tree.n_leaves, positives, hf, hf_prefix)
+        positives[p.pid] = sorted(set(tree.resolve(last.codes, p.pid)))  # checks each code
+        if task == "heart_failure":
+            positives[p.pid] = [0] if any(c.startswith(hf_prefix) for c in last.codes) else []
+    return positives
 
 
 def split_dataset(dataset: EhrDataset, counts: tuple[int, int, int], seed: int) -> EhrDataset:

@@ -72,13 +72,12 @@ def train(problem: SimpleNamespace, epochs: int | None = None,
     return model, history
 
 
-def history_to_example(visits: list[dict], tree: CodeIndex, vocab: Vocabulary,
-                       n_outputs: int) -> PatientExample:
+def history_to_example(visits: list[dict], tree: CodeIndex,
+                       vocab: Vocabulary) -> PatientExample:
     """Turn a raw visit history (codes + notes) into a model input.
 
     The history holds feature visits only and is parsed as a dataset record
     is, dropping visits without codes; the last visit supplies the note.
     """
     patient = _parse_patient({"patient": "history", "visits": visits}, "patient history")
-    return build_example(patient.pid, [v for v in patient.visits if v.codes],
-                         np.zeros(n_outputs), tree, vocab)
+    return build_example(patient.pid, [v for v in patient.visits if v.codes], [], tree, vocab)

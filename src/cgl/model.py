@@ -47,7 +47,7 @@ import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
-from .data import EhrDataset, LabelSet, Visit
+from .data import EhrDataset, Visit, dense_rows
 from .graphs import ObservationGraph, OntologyAdjacency
 from .ontology import CodeIndex, OntologyTree
 from .text import MAX_NOTE_TOKENS, Vocabulary, tfidf_beta
@@ -165,8 +165,7 @@ class PatientExample:
     visit_codes: list[np.ndarray]  # sorted unique leaf indices per feature visit
     note_tokens: np.ndarray  # word indices of the latest feature visit's note
     beta: np.ndarray  # TF-IDF attention targets aligned with note_tokens
-    label_vec: np.ndarray  # (n_codes,) for diagnosis, (1,) for the binary task
-    occurred: np.ndarray  # codes seen in any feature visit, (n_codes,)
+    positives: np.ndarray  # sorted output indices labelled 1 (see ``make_labels``)
 
 
 @dataclass
@@ -180,7 +179,7 @@ class Stack:
     alpha: ad.Tensor
 
 
-def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray,
+def build_example(pid: str, visits: list[Visit], positives: list[int],
                   tree: CodeIndex, vocab: Vocabulary) -> PatientExample:
     """Resolve one patient's feature visits to dense indices.
 
@@ -193,12 +192,10 @@ def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray,
     if not visits:
         raise ValueError(f"patient {pid} has no feature visits")
     visit_codes = []
-    occurred = np.zeros(tree.n_leaves, dtype=np.float64)
     for v in visits:
         idx = np.array(sorted(set(tree.resolve(v.codes, pid))), dtype=np.intp)
         if idx.size == 0:
             raise ValueError(f"patient {pid} has an empty visit")
-        occurred[idx] = 1.0
         visit_codes.append(idx)
     note = [w for w in visits[-1].note[:MAX_NOTE_TOKENS] if w in vocab]
     return PatientExample(
@@ -206,16 +203,15 @@ def build_example(pid: str, visits: list[Visit], label_vec: np.ndarray,
         visit_codes=visit_codes,
         note_tokens=np.array([vocab.word_index[w] for w in note], dtype=np.intp),
         beta=tfidf_beta(note, vocab),
-        label_vec=label_vec,
-        occurred=occurred,
+        positives=np.array(positives, dtype=np.intp),
     )
 
 
 def prepare_examples(dataset: EhrDataset, split: str | None, tree: CodeIndex,
-                     vocab: Vocabulary, labels: LabelSet) -> list[PatientExample]:
+                     vocab: Vocabulary, labels: dict[str, list[int]]) -> list[PatientExample]:
     """One example per patient of a split (every patient for ``split=None``)."""
     patients = dataset.patients if split is None else dataset.split_patients(split)
-    return [build_example(p.pid, p.feature_visits, labels.label_vector(p.pid), tree, vocab)
+    return [build_example(p.pid, p.feature_visits, labels[p.pid], tree, vocab)
             for p in patients]
 
 
@@ -565,7 +561,8 @@ class CollaborativeGraphModel(FrozenScorer):
             raise ValueError("empty batch")
         y_hat, _, stacks = self.patient_forward(leaves, self.pool_visits(h_c, examples),
                                                 examples)
-        ce = self._cross_entropy(y_hat, np.stack([ex.label_vec for ex in examples])[:, None])
+        y = dense_rows([ex.positives for ex in examples], y_hat.values.shape[-1])
+        ce = self._cross_entropy(y_hat, y[:, None])
         pen = [rectified_penalty(s.alpha, np.stack([examples[i].beta for i in s.members])[:, None])
                for s in stacks]
         n = len(examples)
@@ -639,7 +636,7 @@ def compute_metrics(scores: np.ndarray, examples: list[PatientExample], task: st
 
     ``top`` is ``metrics.top_codes(scores, max(ks))`` when the caller already has it.
     """
-    labels = np.stack([ex.label_vec for ex in examples])
+    labels = dense_rows([ex.positives for ex in examples], scores.shape[-1])
     out: dict[str, float] = {}
     if task == "diagnosis":
         if top is None:
@@ -648,7 +645,8 @@ def compute_metrics(scores: np.ndarray, examples: list[PatientExample], task: st
         for k in ks:
             out[f"r{k}"] = metrics_mod.recall_at_k(scores, labels, k, top)
         if include_onset:
-            occurred = np.stack([ex.occurred for ex in examples])
+            occurred = dense_rows([np.concatenate(ex.visit_codes) for ex in examples],
+                                  scores.shape[-1])
             for k in ks:
                 occ, new = metrics_mod.onset_split_recall(scores, labels, occurred, k, top)
                 out[f"occurred_r{k}"] = occ

@@ -1,4 +1,4 @@
-"""Disease hierarchy: a K-level tree with virtual-leaf padding and LCA queries.
+"""Disease hierarchy: a K-level tree with virtual-leaf padding and an ancestor table.
 
 Nodes live at levels 1..K (level 1 = roots). Diagnosable codes that sit above
 level K are padded with a chain of virtual descendants so that every code in
@@ -28,7 +28,6 @@ __all__ = [
     "load_ontology",
     "save_ontology",
     "pad_virtual_leaves",
-    "lca_level",
     "ancestor_path",
 ]
 
@@ -205,27 +204,9 @@ def pad_virtual_leaves(tree: OntologyTree, diagnosed) -> OntologyTree:
     return OntologyTree(parent, level, code_leaf_name)
 
 
-def _ancestor_row(tree: OntologyTree, code_index: int) -> np.ndarray:
-    if not 0 <= code_index < tree.n_leaves:
-        raise ValueError(f"leaf index {code_index} out of range")
-    return tree.ancestors[code_index]
-
-
 def ancestor_path(tree: OntologyTree, code_index: int) -> tuple[str, ...]:
     """Ancestor identifiers for levels 1..K of the leaf at ``code_index``."""
-    ranks = _ancestor_row(tree, code_index).tolist()
+    if not 0 <= code_index < tree.n_leaves:
+        raise ValueError(f"leaf index {code_index} out of range")
+    ranks = tree.ancestors[code_index].tolist()
     return tuple(tree.level_nodes[k][rank] for k, rank in enumerate(ranks, start=1))
-
-
-def lca_level(tree: OntologyTree, ci: int, cj: int) -> int:
-    """Level of the lowest common ancestor of two distinct leaves.
-
-    Leaves under different roots return 0 (no shared ancestor, hence no
-    hierarchy edge). Equal indices are a caller error: the diagonal is
-    handled by the adjacency builder.
-    """
-    if ci == cj:
-        raise ValueError("lca_level needs two distinct leaves")
-    # Single parents make ancestor agreement prefix-closed, so the LCA level
-    # is the number of levels where the two ancestors coincide.
-    return int(np.count_nonzero(_ancestor_row(tree, ci) == _ancestor_row(tree, cj)))

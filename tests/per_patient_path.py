@@ -12,6 +12,7 @@ import numpy as np
 
 from cgl import autodiff as ad
 from cgl.model import CLAMP_EPS
+from oracles import label_vectors
 
 
 def encode_visits(model, leaves, visit_rows):
@@ -94,7 +95,7 @@ def batch_loss(model, leaves, h_c, examples):
     visits = model.pool_visits(h_c, examples)
     for ex, (y_hat, note_alpha, _, _) in zip(examples, forward_each(model, leaves, visits,
                                                                     examples)):
-        ce = cross_entropy(y_hat, ex.label_vec)
+        ce = cross_entropy(y_hat, label_vectors([ex.positives], y_hat.values.shape[-1])[0])
         pen = rectified_penalty(note_alpha, ex.beta)
         ce_sum = ce if ce_sum is None else ad.add(ce_sum, ce)
         pen_sum = pen if pen_sum is None else ad.add(pen_sum, pen)

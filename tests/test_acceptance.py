@@ -20,9 +20,10 @@ from cgl.experiment import TrainSettings, assemble, train
 from cgl.model import (CollaborativeGraphModel, ModelConfig, compute_metrics,
                        default_note_loss_weight, predict_scores, rectified_penalty)
 from cgl.graphs import build_ontology_adjacency
-from cgl.ontology import load_ontology, lca_level, ancestor_path
+from cgl.ontology import load_ontology, ancestor_path
 from cgl.text import fit_vocabulary, tfidf_beta
 
+from oracles import lca_level
 from problem_fixtures import build_problem
 from test_metrics import (brute_auc, brute_onset_split, brute_recall_at_k,
                           brute_weighted_f1, random_instance)

@@ -316,10 +316,11 @@ def test_history_to_example_matches_prepare_examples(workspace):
     split_dataset(ds, tuple(bundle.split["counts"]), derive_seeds(bundle.split["seed"]).split)
     patients = {p.pid: p for p in ds.split_patients("test")}
     inputs = [f.name for f in fields(model.PatientExample)
-              if f.name not in ("pid", "label_vec")]
+              if f.name not in ("pid", "positives")]
     for want in examples:
         visits = [{"codes": v.codes, "note": v.note} for v in patients[want.pid].feature_visits]
-        got = history_to_example(visits, bundle.tree, bundle.vocab, want.label_vec.size)
+        got = history_to_example(visits, bundle.tree, bundle.vocab)
+        assert got.positives.dtype == np.intp and got.positives.size == 0
         for name in inputs:
             a, b = getattr(got, name), getattr(want, name)
             pairs = zip(a, b) if isinstance(a, list) else [(a, b)]
@@ -385,6 +386,16 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     assert bundle.tree.leaf_ids == prob.tree.leaf_ids
     assert bundle.tree.code_leaf == prob.tree.code_leaf
     assert bundle.vocab == prob.vocab
+
+
+@pytest.mark.parametrize("split", [None, {"counts": [4, 0], "seed": 0},
+                                   {"counts": [4, 0, 0], "seed": -1}])
+def test_save_checkpoint_refuses_a_split_that_would_not_load(tmp_path, split):
+    prob = build_problem()
+    model.fit(prob.model, prob.examples, seed=0, epochs=1)
+    with pytest.raises(ValueError, match="'split'"):
+        checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab, split=split)
+    assert not (tmp_path / "ck").exists()
 
 
 @pytest.mark.parametrize("task", ["diagnosis", "heart_failure"])
@@ -688,6 +699,47 @@ def test_evaluate_negative_code_map_value_exits_2(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "eval")])
     assert rc == 2
     assert "'code_map'" in capsys.readouterr().err
+
+
+def set_split(**changes):
+    def edit(manifest):
+        manifest["split"].update(changes)
+    return edit
+
+
+def drop_split_key(name):
+    def edit(manifest):
+        del manifest["split"][name]
+    return edit
+
+
+@pytest.mark.parametrize("edit,name", [pytest.param(edit, name, id=ident)
+                                       for edit, name, ident in [
+    (set_manifest_key("split", None), "split", "split-null"),
+    (set_manifest_key("split", "16,4,4"), "split", "split-string"),
+    (set_split(seed="3"), "split", "seed-string"),
+    (set_split(seed=True), "split", "seed-bool"),
+    (set_split(seed=-1), "split", "seed-negative"),
+    (drop_split_key("seed"), "split", "seed-missing"),
+    (drop_split_key("counts"), "split", "counts-missing"),
+    (set_split(counts=[16, 4]), "split", "counts-two"),
+    (set_split(counts=[16, -4, 4]), "split", "counts-negative"),
+    (set_split(counts=[16.0, 4, 4]), "split", "counts-float"),
+    (set_split(counts="16,4,4"), "split", "counts-string"),
+    (set_manifest_key("hf_prefix", 5), "hf_prefix", "hf_prefix-int"),
+    (set_manifest_key("hf_prefix", ["d0"]), "hf_prefix", "hf_prefix-list"),
+]])
+def test_evaluate_bad_checkpoint_split_exits_2(workspace, tmp_path, capsys, edit, name):
+    """``cgl evaluate`` re-splits the dataset by the manifest's ``split``; a
+    malformed one, or a malformed ``hf_prefix``, exits 2 and names the key."""
+    ck = broken_checkpoint(workspace, tmp_path, edit)
+    capsys.readouterr()
+    rc = main(["evaluate", "--checkpoint", str(ck),
+               "--dataset", str(workspace["gen"] / "dataset.jsonl"),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert repr(name) in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "report.txt").exists()
 
 
 @pytest.mark.parametrize("counts", ["200,50", "16,4,4,4"])

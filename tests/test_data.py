@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cgl import data, graphs, model, text
 from cgl import ontology as onto
+from oracles import label_vectors
 
 
 def flat_tree(codes):
@@ -92,8 +95,7 @@ def test_unknown_code_message_comes_from_the_one_resolver(tmp_path):
     for call in (lambda: data.make_labels(ds, "diagnosis", tree),
                  lambda: graphs.build_observation(ds, tree),
                  lambda: graphs.build_cooccurrence(ds, tree),
-                 lambda: model.build_example("p1", ds.patients[0].visits, np.zeros(1),
-                                             tree, vocab)):
+                 lambda: model.build_example("p1", ds.patients[0].visits, [], tree, vocab)):
         with pytest.raises(data.DataError) as err:
             call()
         assert str(err.value) == "unknown code 'zz' (patient p1)"
@@ -114,7 +116,8 @@ def test_make_labels_diagnosis_one_hot():
     tree = flat_tree(["c0", "c1", "c2", "c3"])
     ds = data.EhrDataset([data.Patient("p1", [data.Visit(["c0"]), data.Visit(["c3"])])])
     labels = data.make_labels(ds, "diagnosis", tree)
-    y = labels.label_vector("p1")
+    assert labels == {"p1": [3]}
+    y = label_vectors([labels["p1"]], tree.n_leaves)[0]
     assert np.array_equal(y, [0.0, 0.0, 0.0, 1.0])
 
 
@@ -125,9 +128,36 @@ def test_make_labels_heart_failure_prefix():
         data.Patient("p2", [data.Visit(["hf.1"]), data.Visit(["other"])]),
     ])
     labels = data.make_labels(ds, "heart_failure", tree, hf_prefix="hf")
-    assert labels.hf == {"p1": 1, "p2": 0}  # last visit only
+    assert labels == {"p1": [0], "p2": []}  # last visit only
+    y = label_vectors([labels["p1"], labels["p2"]], 1)
+    assert np.array_equal(y, [[1.0], [0.0]])
     with pytest.raises(ValueError):
         data.make_labels(ds, "heart_failure", tree)
+
+
+# Index lists as examples hold them: diagnosis labels are sorted leaf
+# indices, binary labels [0] or [] at width 1, and occurred codes are the
+# visits' indices concatenated, so they repeat.
+DIAGNOSIS_ROWS = st.integers(1, 30).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.lists(st.integers(0, width - 1), max_size=10),
+                             min_size=1, max_size=6)))
+BINARY_ROWS = st.tuples(st.just(1), st.lists(st.sampled_from([[0], []]), min_size=1,
+                                             max_size=6))
+
+
+@given(DIAGNOSIS_ROWS | BINARY_ROWS, st.booleans())
+@example((1, [[0], [], [0]]), False)
+@example((1, [[]]), True)
+@example((6, [[5, 1, 1, 5], [], [0]]), True)
+def test_dense_rows_match_the_stacked_label_vectors(case, as_arrays):
+    """``dense_rows`` builds, bit for bit, the stacked per-patient vectors
+    that examples once held: diagnosis labels, binary flags, occurred codes."""
+    width, index_lists = case
+    if as_arrays:
+        index_lists = [np.array(ix, dtype=np.intp) for ix in index_lists]
+    got, want = data.dense_rows(index_lists, width), label_vectors(index_lists, width)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_labels_from_manual_fixture():
@@ -145,7 +175,7 @@ def test_labels_from_manual_fixture():
     labels = data.make_labels(ds, "diagnosis", tree)
     for pid, vs in visits.items():
         expected = sorted(tree.leaf_for(c) for c in set(vs[-1]))
-        assert labels.positives[pid] == expected
+        assert labels[pid] == expected
 
 
 def make_n_patients(n):

@@ -5,6 +5,7 @@ from scipy import sparse
 from cgl import graphs as gr
 from cgl import ontology as onto
 from cgl.data import EhrDataset, Patient, Visit
+from oracles import lca_level
 
 
 def flat_tree(codes):
@@ -142,7 +143,7 @@ def test_adjacency_masking():
     adj = gr.build_ontology_adjacency(tree, cooc)
     dense = adj.adjacency.toarray()
     assert dense[i, j] == 2.0  # siblings share their level-2 parent
-    assert onto.lca_level(tree, i, k) == 1  # cousins under the same root
+    assert lca_level(tree, i, k) == 1  # cousins under the same root
     assert dense[i, k] == 0.0  # masked: never co-occur
     assert adj.adjacency.nnz == 2
     # with every pair co-occurring, cousins link at level 1 and other roots not at all
@@ -172,13 +173,13 @@ def test_adjacency_matches_brute_force_on_fixture():
     for i in range(20):
         for j in range(20):
             if i != j and cooc[i, j]:
-                brute[i, j] = onto.lca_level(tree, i, j)
+                brute[i, j] = lca_level(tree, i, j)
     assert np.array_equal(adj.adjacency.toarray(), brute)
     # with every pair co-occurring, every level must agree with the pairwise oracle
     full = gr.build_ontology_adjacency(tree, sparse.csr_matrix(1.0 - np.eye(20)))
     for i in range(20):
         for j in range(i + 1, 20):
-            assert full.adjacency[i, j] == onto.lca_level(tree, i, j)
+            assert full.adjacency[i, j] == lca_level(tree, i, j)
 
 
 def test_adjacency_nnz_bound_and_symmetry():
@@ -194,7 +195,7 @@ def test_adjacency_nnz_bound_and_symmetry():
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diagonal(dense) == 0)
     nnz = np.count_nonzero
-    linked = sum(onto.lca_level(tree, i, j) > 0 for i in range(n) for j in range(n) if i != j)
+    linked = sum(lca_level(tree, i, j) > 0 for i in range(n) for j in range(n) if i != j)
     assert nnz(dense) <= min(linked, nnz(cooc))
     assert np.all((dense == 0) | ((dense >= 1) & (dense <= tree.levels - 1)))
 

@@ -7,8 +7,9 @@ import pytest
 from scipy import sparse
 
 from cgl import autodiff as ad
-from cgl import data, graphs, model, ontology
+from cgl import data, graphs, metrics, model, ontology
 from eager_backward import eager_backward
+from oracles import label_vectors
 from problem_fixtures import build_problem, tiny_dataset
 
 SIG = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -526,7 +527,7 @@ def test_batch_loss_matches_direct_formula():
     for ex in prob.examples:
         y_hat, _, [stack] = m.patient_forward(leaves2, m.pool_visits(h_c2, [ex]), [ex])
         p = np.clip(y_hat.values[0, 0], eps, 1 - eps)
-        y = ex.label_vec
+        y = label_vectors([ex.positives], prob.tree.n_leaves)[0]
         ce_vals.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
         a = stack.alpha.values[0, 0]
         pen_vals.append(float(-np.sum(a * np.log(ex.beta) + (1 - a) * np.log1p(-ex.beta))))
@@ -544,13 +545,42 @@ def test_no_notes_config_drops_penalty():
     assert loss == ce
 
 
+def test_onset_split_reads_every_feature_visit():
+    """``compute_metrics`` splits recall by the codes of every feature visit,
+    not only the latest: it equals ``onset_split_recall`` on the stacked
+    per-patient rows examples once held. Each patient's label repeats a code
+    of an earlier feature visit that the latest one lacks."""
+    v = data.Visit
+    dataset = data.EhrDataset([
+        data.Patient("q0", [v(["d0.a.0"], ["fever"]), v(["d0.b.0"], ["cough"]),
+                            v(["d0.a.0", "d0.b.1"])], split="train"),
+        data.Patient("q1", [v(["d1.a.0", "d1.a.1"], ["rash"]), v(["d1.b.0"], ["itch"]),
+                            v(["d1.a.1", "d0.a.2"])], split="train"),
+        data.Patient("q2", [v(["d1.b.2"], ["rash"]), v(["d1.b.1"], ["fever"]),
+                            v(["d1.b.2", "d1.b.1"])], split="train"),
+    ])
+    prob = build_problem(dataset=dataset)
+    n = prob.tree.n_leaves
+    patients = dataset.split_patients("train")
+    labels = label_vectors([prob.tree.resolve(p.label_visit.codes, p.pid) for p in patients], n)
+    occurred = label_vectors([[i for visit in p.feature_visits
+                               for i in prob.tree.resolve(visit.codes, p.pid)]
+                              for p in patients], n)
+    scores = np.random.default_rng(5).uniform(size=(len(patients), n))
+    got = model.compute_metrics(scores, prob.examples, "diagnosis", ks=(3, n), include_onset=True)
+    for k in (3, n):
+        want = metrics.onset_split_recall(scores, labels, occurred, k)
+        assert (got[f"occurred_r{k}"], got[f"new_onset_r{k}"]) == want
+    assert got[f"occurred_r{n}"] > 0.0
+
+
 def test_heart_failure_task_scalar_output():
     prob = build_problem(task="heart_failure")
     m = prob.model
     model.fit(m, prob.examples, seed=0, epochs=1)
     [(scores, _)] = m.predict_examples(prob.examples[:1])
     assert scores.shape == (1,)
-    labels = np.array([ex.label_vec[0] for ex in prob.examples])
+    labels = label_vectors([ex.positives for ex in prob.examples], 1)[:, 0]
     assert np.array_equal(labels, [1.0, 1.0, 0.0, 0.0])  # from the HF prefix
 
 

@@ -354,7 +354,7 @@ def check_one_patient_equals_its_chunk_row(n_codes):
                                             for _ in range(1 + i % 3)],
                                note_tokens=rng.integers(0, vocab_size, size=length),
                                beta=rng.uniform(0.05, 0.95, size=length),
-                               label_vec=np.zeros(n_codes), occurred=np.zeros(n_codes))
+                               positives=np.array([], dtype=np.intp))
                 for i, length in enumerate([0, 1, 1, 2, 3, 3, 3, 7, 9, 17, 40, 129])]
     together = scorer.predict_examples(examples)
     for ex, (scores, alpha) in zip(examples, together):

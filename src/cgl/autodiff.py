@@ -14,10 +14,11 @@ its cells to every entry, and a training step records thousands of entries,
 so those objects kept the cyclic garbage collector busy for a large share of
 the run.
 
-Two ops defer their gradient instead of forming it densely: ``matmul`` for a
-shared 1-d or 2-d right operand (kept as the left operand's rows and the
-output gradient's rows; a stacked left operand gives all its items' rows) and
-``gather_rows`` on a 2-d table (kept as the indices and the gradient rows).
+Ops defer a gradient instead of forming it densely: ``matmul`` for a shared
+1-d or 2-d right operand (kept as the left operand's rows and the output
+gradient's rows; a stacked left operand gives all its items' rows), and
+``gather_rows`` on a 2-d table (kept as the indices and the gradient rows);
+``group_mean`` and ``gru_sequence`` give the same two kinds.
 The tape collects a node's deferred contributions and resolves them once, when
 it first reads that node's gradient: one GEMM over the stacked rows, or one
 scatter-add over the concatenated indices, added to the node's dense sum. A
@@ -32,7 +33,7 @@ raises :class:`DimensionError` instead of silently broadcasting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from operator import attrgetter
 
 import numpy as np
@@ -50,7 +51,6 @@ __all__ = [
     "sub",
     "mul",
     "sigmoid",
-    "tanh",
     "relu",
     "log",
     "clamp",
@@ -64,6 +64,7 @@ __all__ = [
     "gather_rows",
     "fold_sum",
     "group_mean",
+    "gru_sequence",
     "batchnorm",
     "check_gradients",
     "GradientCheckReport",
@@ -349,16 +350,6 @@ def sigmoid(x) -> Tensor:
 
 def _sigmoid_backward(y, g):
     return (g * y * (1.0 - y),)
-
-
-def tanh(x) -> Tensor:
-    x = _lift(x)
-    y = np.tanh(x.values)
-    return _emit(x.tape, y, (x,), _tanh_backward, y)
-
-
-def _tanh_backward(y, g):
-    return (g * (1.0 - y * y),)
 
 
 def relu(x) -> Tensor:
@@ -654,6 +645,71 @@ def _group_mean_backward(shape, idx, indptr, g):
     later_first = np.concatenate(np.split(idx, indptr[1:-1])[::-1])
     rows = np.repeat((g / counts[:, None])[::-1], counts[::-1], axis=0)
     return (_Deferred(True, shape, later_first, rows),)
+
+
+def gru_sequence(visits, positions, weights) -> Tensor:
+    """The (B, T, h) GRU states of B sequences of T rows of the 2-d ``visits``
+    (row b of the (B, T) ``positions`` lists sequence b's rows), as one op.
+    ``weights`` are the update, reset and candidate gates' (d, h) input weight,
+    (h, h) state weight and (h,) bias. From a zero state each step runs
+    z = sig(xW+hU+b), r = sig(xW'+hU'+b'), n = tanh(xW''+(r*h)U''+b''),
+    h' = z*h + (1-z)*n on (B, 1, .) stacks with the numpy calls of those ops,
+    in their order, so the states keep their bits. The backward (BPTT) gives
+    the tape what those ops' backwards would, in their order: per weight one
+    deferred product over every step's rows, for ``visits`` one deferred
+    scatter, and per step one sum per bias, an input once per step. So every
+    gradient keeps its bits too."""
+    visits, weights = _lift(visits), tuple(map(_lift, weights))
+    xv, wv = visits.values, [w.values for w in weights]
+    idx, hd = np.asarray(positions, dtype=np.intp), wv[2].size
+    if (xv.ndim != 2 or idx.ndim != 2 or not idx.shape[1]
+            or [w.shape for w in wv] != [(xv.shape[1], hd), (hd, hd), (hd,)] * 3):
+        raise DimensionError(f"gru_sequence needs (N, d) rows, (B, T > 0) positions and 9 "
+                             f"gate weights, got {xv.shape}, {idx.shape}")
+    _row_indices("gru_sequence", idx, len(xv), flat=False)
+    wz, uz, bz, wr, ur, br, wn, un, bn = wv
+    h = np.zeros((idx.shape[0], 1, hd))
+    states, zs, rs, ns = (np.empty((*idx.shape, hd)) for _ in range(4))
+    with np.errstate(over="ignore"):  # as in sigmoid
+        for t in range(idx.shape[1]):
+            x = xv[idx[:, t:t + 1]]
+            z = 1.0 / (1.0 + np.exp(-((_product(x, wz) + _product(h, uz)) + bz)))
+            r = 1.0 / (1.0 + np.exp(-((_product(x, wr) + _product(h, ur)) + br)))
+            n = np.tanh((_product(x, wn) + _product(r * h, un)) + bn)
+            h = z * h + (1.0 - z) * n
+            states[:, t:t + 1], zs[:, t:t + 1], rs[:, t:t + 1], ns[:, t:t + 1] = h, z, r, n
+    inputs = (visits, *weights[0:2], *weights[3:5], *weights[6:8],
+              *weights[2::3] * idx.shape[1])
+    return _emit(_tape_of(visits, *weights), states, inputs, _gru_backward,
+                 xv, idx, wv, states, zs, rs, ns)
+
+
+def _gru_backward(xv, idx, wv, states, zs, rs, ns, g):
+    wz, uz, _, wr, ur, _, wn, un, _ = wv
+    b, steps, hd = states.shape
+    prev = np.concatenate([np.zeros((b, 1, hd)), states[:, :-1]], axis=1)
+    pre = np.empty((3, steps, b, 1, hd))  # z, r and n pre-activation gradients
+    carry = []
+    for i, t in enumerate(reversed(range(steps))):
+        z, r, n, h = zs[:, t:t + 1], rs[:, t:t + 1], ns[:, t:t + 1], prev[:, t:t + 1]
+        # terms in the composed steps' tape order: its concat of the states met
+        # the first state before the next step's ops did, later states after
+        gh = reduce(np.add, [g[:, t:t + 1], *carry] if t == 0 else [*carry, g[:, t:t + 1]])
+        gn = gh * (1.0 - z) * (1.0 - n * n)
+        gz = (-(gh * n) + gh * h) * z * (1.0 - z)
+        grh = gn @ un.T
+        gr = grh * h * r * (1.0 - r)
+        carry = [gh * z, grh * r, gr @ ur.T, gz @ uz.T] if t else []
+        pre[0, i], pre[1, i], pre[2, i] = gz, gr, gn
+    gz, gr, gn = pre.reshape(3, -1, 1, hd)  # (steps * B) stacks, last step first
+    x, hs, rh = (a[:, ::-1].swapaxes(0, 1).reshape(-1, a.shape[2])
+                 for a in (xv[idx], prev, rs * prev))
+    return (_Deferred(True, xv.shape, idx[:, ::-1].T.ravel(),
+                      ((gn @ wn.T + gr @ wr.T) + gz @ wz.T)[:, 0]),
+            _Deferred(False, wz.shape, x, gz[:, 0]), _Deferred(False, uz.shape, hs, gz[:, 0]),
+            _Deferred(False, wr.shape, x, gr[:, 0]), _Deferred(False, ur.shape, hs, gr[:, 0]),
+            _Deferred(False, wn.shape, x, gn[:, 0]), _Deferred(False, un.shape, rh, gn[:, 0]),
+            *pre.sum(axis=(2, 3)).swapaxes(0, 1).reshape(-1, hd))
 
 
 def fold_sum(parts) -> Tensor:

@@ -13,8 +13,8 @@ One forward pass:
    only on the links, so this step costs O(nnz), not O(codes^2).
 3. Per patient: each feature visit embeds as the mean of its codes' final
    features (one pooling op for every visit of a batch), a GRU consumes the
-   visit sequence, and a location attention over the GRU states yields the
-   visit summary o_v.
+   visit sequence (one op per visit count), and a location attention over
+   the GRU states yields the visit summary o_v.
 4. The latest note's word embeddings are projected and attended with o_v as
    the context; the attention weights are pulled toward per-note TF-IDF
    targets by a rectification penalty added to the loss.
@@ -339,33 +339,14 @@ class FrozenScorer:
         return ad.group_mean(h_c, [idx for ex in examples for idx in ex.visit_codes])
 
     def encode_visits(self, leaves, visits: ad.Tensor, positions: np.ndarray):
-        """GRU over B patients' visit sequences of one length T at once, plus
-        location attention.
-
-        Row b of the (B, T) ``positions`` lists the rows of ``visits`` that
-        hold patient b's visits, in order. Each step runs on (B, 1, .) stacks.
-        Gates: z = sig(xW+hU+b), r = sig(xW'+hU'+b'), n = tanh(xW''+(r*h)U''+b''),
-        h' = z*h + (1-z)*n, from a zero initial state. Returns the (B, T, h)
-        states, the (B, 1, T) attention and the (B, 1, h) summaries o_v.
-        """
-        n, steps = positions.shape
-        if not steps:
-            raise ValueError("need at least one visit")
-        h = ad.constant(np.zeros((n, 1, self.config.gru_hidden)))
-        rows = None
-        for t in range(steps):
-            x = ad.gather_rows(visits, positions[:, t:t + 1])
-            z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_update"]),
-                                         ad.matmul(h, leaves["gru_state_update"])),
-                                  leaves["gru_bias_update"]))
-            r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_reset"]),
-                                         ad.matmul(h, leaves["gru_state_reset"])),
-                                  leaves["gru_bias_reset"]))
-            cand = ad.tanh(ad.add(ad.add(ad.matmul(x, leaves["gru_in_cand"]),
-                                         ad.matmul(ad.mul(r, h), leaves["gru_state_cand"])),
-                                  leaves["gru_bias_cand"]))
-            h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), cand))
-            rows = h if rows is None else ad.concat([rows, h], axis=1)
+        """GRU (one ``autodiff.gru_sequence``) over B patients' visit
+        sequences of one length T, plus location attention. Row b of the
+        (B, T) ``positions`` lists the rows of ``visits`` that hold patient
+        b's visits, in order. Returns the (B, T, h) states, the (B, 1, T)
+        attention and the (B, 1, h) summaries o_v."""
+        rows = ad.gru_sequence(visits, positions, [leaves[f"gru_{part}_{gate}"]
+                                                   for gate in ("update", "reset", "cand")
+                                                   for part in ("in", "state", "bias")])
         return rows, *attend(ad.matmul(rows, leaves["visit_context"]), rows)
 
     def note_attention(self, leaves, notes: list[np.ndarray], o_v: ad.Tensor):

@@ -105,16 +105,6 @@ def sigmoid(x) -> Tensor:
     return _emit(_tape_of(x), y, (x,), backward)
 
 
-def tanh(x) -> Tensor:
-    x = _lift(x)
-    y = np.tanh(x.values)
-
-    def backward(g):
-        return (g * (1.0 - y * y),)
-
-    return _emit(_tape_of(x), y, (x,), backward)
-
-
 def relu(x) -> Tensor:
     x = _lift(x)
     mask = x.values > 0.0

@@ -12,6 +12,7 @@ import numpy as np
 
 from cgl import autodiff as ad
 from cgl.model import CLAMP_EPS
+from composed_gru import tanh
 from oracles import label_vectors
 
 
@@ -27,9 +28,9 @@ def encode_visits(model, leaves, visit_rows):
         r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaves["gru_in_reset"]),
                                      ad.matmul(h, leaves["gru_state_reset"])),
                               leaves["gru_bias_reset"]))
-        cand = ad.tanh(ad.add(ad.add(ad.matmul(x, leaves["gru_in_cand"]),
-                                     ad.matmul(ad.mul(r, h), leaves["gru_state_cand"])),
-                              leaves["gru_bias_cand"]))
+        cand = tanh(ad.add(ad.add(ad.matmul(x, leaves["gru_in_cand"]),
+                                  ad.matmul(ad.mul(r, h), leaves["gru_state_cand"])),
+                           leaves["gru_bias_cand"]))
         h = ad.add(ad.mul(z, h), ad.mul(ad.sub(1.0, z), cand))
         rows = h if rows is None else ad.concat([rows, h], axis=0)
     alpha = ad.softmax(ad.matmul(rows, leaves["visit_context"]), axis=0)

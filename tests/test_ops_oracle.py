@@ -6,7 +6,8 @@ trailing-suffix bias rows) and every mix of tracked and untracked operands,
 its values and gradients must equal the closure form's bit for bit, and the
 gradients must agree with finite differences. ``group_mean`` has no closure
 form: its oracle is ``reduce_mean(gather_rows(table, group), axis=0)`` per
-group, recorded in group order.
+group, recorded in group order. Nor has ``gru_sequence``: its oracle is the
+recurrence composed of ops, step by step, in ``composed_gru.py``.
 """
 
 import functools
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import closure_ops as old
+import composed_gru
 from cgl import autodiff as ad
+from cgl.model import FrozenScorer
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 4)
@@ -110,7 +113,7 @@ def test_binary_ops_match_oracle(seed, op, kind, base, tracked):
     assert_matches_oracle(lambda mod, xs: getattr(mod, op)(*xs), [a, b], tracked, seed)
 
 
-@given(seed=seeds, op=st.sampled_from(["sigmoid", "tanh", "relu", "log", "clamp"]),
+@given(seed=seeds, op=st.sampled_from(["sigmoid", "relu", "log", "clamp"]),
        shape=shapes, tracked=st.booleans())
 def test_unary_ops_match_oracle(seed, op, shape, tracked):
     x = np.random.default_rng(seed).normal(size=shape)
@@ -273,7 +276,7 @@ def test_group_mean_matches_gather_and_mean(seed, rows, width, groups):
     def program():
         tape = ad.Tape()
         leaves = {"table": tape.leaf(params["table"])}
-        pooled = ad.group_mean(ad.tanh(leaves["table"]), groups)
+        pooled = ad.group_mean(ad.sigmoid(leaves["table"]), groups)
         return ad.reduce_sum(ad.mul(pooled, w[:, 0, :])), leaves
 
     report = ad.check_gradients(program, params, step=1e-6)
@@ -344,6 +347,118 @@ def test_gather_rows_from_a_stack_table_matches_a_flat_table(seed, rows, inner, 
     assert_finite_differences_agree(stacked, [table], [tracked], w)
 
 
+# ---------------------------------------------------------------------------
+# gru_sequence against the composed recurrence
+
+
+def gru_operands(rng, items, steps, d, h, rows):
+    """Visit rows, (B, T) positions into them (rows may repeat) and the nine
+    gate weights."""
+    visits = rng.normal(size=(rows, d))
+    positions = rng.integers(0, rows, size=(items, steps))
+    weights = [rng.normal(size=shape) for shape in [(d, h), (h, h), (h,)] * 3]
+    return visits, positions, weights
+
+
+def assert_gru_matches_composed(visits, positions, weights, tracked, seed):
+    """States and the gradients of ``sum(states * w)`` equal the composed
+    recurrence's bit for bit, for the tracked operands (``visits`` first)."""
+    def call(gru):
+        return lambda mod, xs: gru(xs[0], positions, xs[1:])
+
+    operands = [visits, *weights]
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, size=(*positions.shape, weights[2].size))
+    got_values, got_grads = run(ad, call(ad.gru_sequence), operands, tracked, w)
+    want_values, want_grads = run(ad, call(composed_gru.gru_sequence), operands, tracked, w)
+    assert np.array_equal(got_values, want_values)
+    assert len(got_grads) == len(want_grads)
+    for got, want in zip(got_grads, want_grads):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    return call(ad.gru_sequence), operands, w
+
+
+@given(seed=seeds, items=st.integers(1, 6), steps=st.integers(1, 5), d=dims, h=dims,
+       rows=st.integers(1, 8), data=st.data())
+def test_gru_sequence_matches_the_composed_steps(seed, items, steps, d, h, rows, data):
+    """Any mix of tracked and untracked visits and weights; all untracked
+    records nothing (the inference path)."""
+    visits, positions, weights = gru_operands(np.random.default_rng(seed), items, steps, d, h,
+                                              rows)
+    tracked = data.draw(st.lists(st.booleans(), min_size=10, max_size=10))
+    assert_gru_matches_composed(visits, positions, weights, tracked, seed)
+
+
+@pytest.mark.parametrize("items,h", [(3, 2 * ad.COLUMN_BLOCK + 3), (40, 5)])
+def test_gru_sequence_keeps_the_bits_of_wide_states_and_large_buckets(items, h):
+    """h above two ``COLUMN_BLOCK`` s, where every (B, 1, .) product of a step
+    runs one column block at a time, in the op as in the composed steps; and
+    a bucket of 40 sequences, whose bias gradients sum 40 rows per step."""
+    visits, positions, weights = gru_operands(np.random.default_rng(7), items, 3, 4, h, 50)
+    weights = [0.05 * w for w in weights]
+    assert_gru_matches_composed(visits, positions, weights, [True] * 10, 7)
+
+
+def test_gru_sequence_agrees_with_finite_differences():
+    visits, positions, weights = gru_operands(np.random.default_rng(11), 3, 4, 3, 2, 5)
+    call, operands, w = assert_gru_matches_composed(visits, positions, weights,
+                                                    [True] * 10, 11)
+    assert_finite_differences_agree(call, operands, [True] * 10, w)
+
+
+def test_gru_sequence_records_one_entry_and_nothing_on_constants():
+    visits, positions, weights = gru_operands(np.random.default_rng(13), 4, 3, 2, 3, 6)
+    out = ad.gru_sequence(visits, positions, weights)
+    assert out.tape is None and not out.tracked
+    tape = ad.Tape()
+    out = ad.gru_sequence(tape.leaf(visits), positions, weights)
+    assert len(tape._entries) == 1 and out.shape == (4, 3, 3)
+    tape = ad.Tape()
+    ad.gru_sequence(visits, positions, [tape.leaf(w) for w in weights])
+    assert len(tape._entries) == 1
+
+
+def test_gru_sequence_rejects_bad_operands():
+    visits, positions, weights = gru_operands(np.random.default_rng(17), 2, 3, 2, 3, 4)
+    with pytest.raises(ad.DimensionError):
+        ad.gru_sequence(visits, positions[:, :0], weights)
+    with pytest.raises(ad.DimensionError):
+        ad.gru_sequence(visits, positions[0], weights)
+    with pytest.raises(ad.DimensionError):
+        ad.gru_sequence(visits[0], positions, weights)
+    with pytest.raises(ad.DimensionError):
+        ad.gru_sequence(visits, positions, weights[:8])
+    with pytest.raises(ad.DimensionError):
+        ad.gru_sequence(visits, positions, [*weights[:8], np.zeros(2)])
+    with pytest.raises(IndexError, match="row index 4"):
+        ad.gru_sequence(visits, positions + 4, weights)
+
+
+@pytest.mark.parametrize("name", ["fixture-diagnosis", "fixture-heart_failure",
+                                  "train-small", "train-wide"])
+def test_encode_visits_matches_the_composed_recurrence(problems, monkeypatch, name):
+    """A 32-patient step with ``gru_sequence`` against the same step with the
+    composed recurrence: the loss and every gradient bit for bit, and the
+    scores of the inference path too."""
+    net, batch, scored = problems[name]
+    loss, leaves = net.loss_program(batch)()
+    h_c = net.graph_forward(net._constants(), mode="train", update_stats=False).values
+    scorer = FrozenScorer(net.config, net.params, h_c)
+    scores = scorer.predict_examples(scored)
+    monkeypatch.setattr(FrozenScorer, "encode_visits", composed_gru.encode_visits)
+    want, want_leaves = net.loss_program(batch)()
+    assert loss.values.tobytes() == want.values.tobytes()
+    assert len(loss.tape._entries) < len(want.tape._entries)
+    loss.backward()
+    want.backward()
+    for name, leaf in want_leaves.items():
+        assert np.array_equal(leaves[name].grad, leaf.grad), name
+    for (got, got_alpha), (want_scores, want_alpha) in zip(scores, scorer.predict_examples(scored)):
+        assert got.tobytes() == want_scores.tobytes()
+        assert (got_alpha is None) == (want_alpha is None)
+        assert got_alpha is None or got_alpha.tobytes() == want_alpha.tobytes()
+
+
 def test_group_mean_rejects_bad_groups():
     table = np.ones((3, 2))
     with pytest.raises(ValueError, match="empty group"):
@@ -401,12 +516,14 @@ def test_tape_entries_hold_no_closure():
     x, w = tape.leaf(rng.normal(size=(3, 2))), tape.leaf(rng.normal(size=(2, 2)))
     state = ad.BatchNormState(2)
     h = ad.batchnorm(ad.matmul(x, w), np.ones(2), np.zeros(2), state)
-    h = ad.concat([ad.relu(h), ad.clamp(ad.tanh(h), -0.5, 0.5), h], axis=0)
+    h = ad.concat([ad.relu(h), ad.clamp(ad.sigmoid(h), -0.5, 0.5), h], axis=0)
     h = ad.softmax(ad.sub(1.0, ad.mul(ad.sigmoid(h), ad.add(h, 1.0))), axis=0)
     h = ad.group_mean(ad.gather_rows(h, [0, 1, 5]), [np.array([0, 2]), np.array([1])])
     pattern = sparse.csr_matrix(np.eye(2))
     h = ad.spmm(pattern, pattern.data, h)
     h = ad.matmul(ad.reshape(h, (2, 1, 2)), w)
+    gates = [w, w, np.zeros(2)] * 3
+    h = ad.gru_sequence(ad.reshape(h, (2, 2)), [[0, 1], [1, 0]], gates)
     loss = ad.fold_sum([ad.log(ad.reduce_mean(ad.reshape(ad.add(h, 2.0), (-1,)), axis=0))])
     for _, _, backward in tape._entries:
         assert isinstance(backward, functools.partial)

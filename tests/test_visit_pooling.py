@@ -64,15 +64,15 @@ def test_train_small_step_records_fewer_and_lighter_entries(problems):
     # 2,876 with a gather, a mean and a reshape per visit, and 2,715 with one
     # pooling op but a GRU step per visit; 721 with buckets but a note path per
     # patient; 389 with a head and cross-entropy per bucket; 347 with binary
-    # concat chains. Now 33 entries of graph side and pooling, with one concat
-    # of the 4 levels. The patients of each visit count form a bucket that runs
-    # as one stack: 21 per stacked GRU step (1 + 2 + 3 + 4 steps) and a concat
-    # per later step; 4 per bucket for location attention. A join is one
-    # concat and one gather: 2 for the buckets' o_v, plus its reshape. The
-    # notes of each token count form a stack: 13 per stack for note attention
-    # and penalty, 2 to join their o_n. Then 4 for the head on the whole batch,
-    # 9 for its cross-entropy, 2 to join the penalty terms and 6 for the sums
-    # and loss.
-    assert entries == (33 + 21 * 10 + 6 + 4 * len(steps) + 3 + 13 * len(notes) + 2
-                       + 4 + 9 + 2 + 6) == 343
+    # concat chains; 343 with 21 entries per stacked GRU step (1 + 2 + 3 + 4
+    # steps) and a concat per later step. Now 33 entries of graph side and
+    # pooling, with one concat of the 4 levels. The patients of each visit
+    # count form a bucket that runs as one stack: 1 per bucket for its whole
+    # GRU recurrence and 4 for location attention. A join is one concat and
+    # one gather: 2 for the buckets' o_v, plus its reshape. The notes of each
+    # token count form a stack: 13 per stack for note attention and penalty,
+    # 2 to join their o_n. Then 4 for the head on the whole batch, 9 for its
+    # cross-entropy, 2 to join the penalty terms and 6 for the sums and loss.
+    assert entries == (33 + (1 + 4) * len(steps) + 3 + 13 * len(notes) + 2
+                       + 4 + 9 + 2 + 6) == 131
     assert kept <= 5 * entries, f"{kept / entries:.2f} tracked objects per entry"

@@ -31,9 +31,8 @@ with tempfile.TemporaryDirectory() as tmp:
     tree = load_ontology(out / "ontology.tsv")
     dataset = load_dataset(out / "dataset.jsonl")
 
-    settings = TrainSettings(task="diagnosis", seed=1, split_counts=(105, 15, 30),
-                             metric_ks=(10,), hf_prefix=manifest["hf_prefix"],
-                             config=config)
+    settings = TrainSettings(seed=1, split_counts=(105, 15, 30), metric_ks=(10,),
+                             hf_prefix=manifest["hf_prefix"], config=config)
     problem = assemble(dataset, tree, settings)
     model, history = train(
         problem,

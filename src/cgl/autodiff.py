@@ -14,15 +14,14 @@ its cells to every entry, and a training step records thousands of entries,
 so those objects kept the cyclic garbage collector busy for a large share of
 the run.
 
-Ops defer a gradient instead of forming it densely: ``matmul`` for a shared
-1-d or 2-d right operand (kept as the left operand's rows and the output
-gradient's rows; a stacked left operand gives all its items' rows), and
-``gather_rows`` on a 2-d table (kept as the indices and the gradient rows);
-``group_mean`` and ``gru_sequence`` give the same two kinds.
-The tape collects a node's deferred contributions and resolves them once, when
-it first reads that node's gradient: one GEMM over the stacked rows, or one
-scatter-add over the concatenated indices, added to the node's dense sum. A
-node with a single contribution gets the same bits as resolving it alone.
+Ops defer one kind of gradient, a product: ``matmul``'s for a shared 1-d or
+2-d right operand (kept as the left operand's rows and the output gradient's
+rows), and ``gru_sequence``'s for its weights. The tape resolves a node's
+deferred products once, when it first reads that node's gradient: one GEMM
+over the stacked rows, added to the node's dense sum, with the bits of
+resolving a single product alone. Every scatter-add (``gather_rows``,
+``group_mean``, the visits of ``gru_sequence``) runs when its op's backward
+runs, through ``_scatter``.
 
 Broadcasting in the binary elementwise ops is restricted to the two cases the
 models here actually need: a scalar operand, or an operand whose shape is a
@@ -141,14 +140,10 @@ def constant(values) -> Tensor:
 
 @dataclass(eq=False, slots=True)
 class _Deferred:
-    """One gradient contribution kept as two factors until the tape resolves it.
+    """One product gradient kept as two factors until the tape resolves it:
+    ``left.T @ rows`` reshaped to ``shape``. ``np.asarray`` resolves it on its
+    own."""
 
-    A product contribution is ``left.T @ rows`` reshaped to ``shape``; a
-    scatter contribution adds each row of ``rows`` at the row index ``left``
-    of a zero array of ``shape``. ``np.asarray`` resolves it on its own.
-    """
-
-    scatter: bool
     shape: tuple[int, ...]
     left: np.ndarray
     rows: np.ndarray
@@ -158,29 +153,30 @@ class _Deferred:
 
 
 def _resolve(parts: list[_Deferred]) -> np.ndarray:
-    """The sum of deferred contributions of one kind: one GEMM or one scatter."""
+    """The sum of deferred products: one GEMM over their stacked rows."""
     first = parts[0]
     if len(parts) == 1:
         left, rows = first.left, first.rows
     else:
         left = np.concatenate([p.left for p in parts])
         rows = np.concatenate([p.rows for p in parts])
-    if first.scatter:
-        out = np.zeros(first.shape)
-        np.add.at(out, left, rows)
-        return out
     return (left.T @ rows).reshape(first.shape)
 
 
 def _settle(dense: np.ndarray | None, parts: list[_Deferred] | None) -> np.ndarray | None:
-    """A node's gradient: its dense sum plus its deferred contributions."""
-    if parts:
-        for scatter in (False, True):
-            same = [p for p in parts if p.scatter is scatter]
-            if same:
-                g = _resolve(same)
-                dense = g if dense is None else dense + g
-    return dense
+    """A node's gradient: its dense sum plus its deferred products."""
+    if not parts:
+        return dense
+    g = _resolve(parts)
+    return g if dense is None else dense + g
+
+
+def _scatter(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A zero array of ``shape`` with each of ``rows`` added at its row index
+    in the flat ``idx``, in order: the one scatter-add of every gradient."""
+    out = np.zeros(shape)
+    np.add.at(out, idx, rows)
+    return out
 
 
 class Tape:
@@ -451,7 +447,7 @@ def _matmul_backward(av, bv, a2, b2, need_a, need_b, g):
         return ga, np.swapaxes(a2, -1, -2) @ g2
     if a2.ndim == 3:
         a2, g2 = a2.reshape(-1, a2.shape[-1]), g2.reshape(-1, g2.shape[-1])
-    return ga, _Deferred(False, bv.shape, a2, g2)
+    return ga, _Deferred(bv.shape, a2, g2)
 
 
 def spmm(pattern, values, x) -> Tensor:
@@ -595,9 +591,8 @@ def gather_rows(table, indices) -> Tensor:
     """Select rows of a table, or entries of a vector, as ``table[indices]``:
     the output has the shape of ``indices`` followed by a table row's shape, so
     a (B, 1) index array gives a (B, 1, d) stack, and a flat one on a (N, 1, d)
-    table gives one too. Backward scatter-adds, so repeated indices accumulate
-    gradient. A table's scatter is deferred to the tape; a vector's is one
-    ``bincount``."""
+    table gives one too. Backward scatter-adds in index order, so repeated
+    indices accumulate gradient; each gather's gradient is its own scatter."""
     table = _lift(table)
     tv = table.values
     if tv.ndim == 0:
@@ -607,9 +602,7 @@ def gather_rows(table, indices) -> Tensor:
 
 
 def _gather_backward(tv, idx, g):
-    if tv.ndim == 1:
-        return (np.bincount(idx, weights=g.ravel(), minlength=tv.shape[0]),)
-    return (_Deferred(True, tv.shape, idx, g.reshape(idx.size, *tv.shape[1:])),)
+    return (_scatter(tv.shape, idx, g.reshape(idx.size, *tv.shape[1:])),)
 
 
 def group_mean(table, groups) -> Tensor:
@@ -618,9 +611,8 @@ def group_mean(table, groups) -> Tensor:
     group), axis=0)`` computes for each group, with the same bits.
 
     The forward is one CSR row sum, in each group's index order, divided by
-    the group's size. The gradient is one deferred scatter into ``table``
-    with the later groups first: the order in which per-group gathers,
-    recorded in group order, would reach the tape, so it sums as they did.
+    the group's size. The gradient is one scatter into ``table``, the later
+    groups first: it sums as one gather of every group's rows in that order.
     """
     table = _lift(table)
     tv = table.values
@@ -644,7 +636,7 @@ def _group_mean_backward(shape, idx, indptr, g):
     counts = np.diff(indptr)
     later_first = np.concatenate(np.split(idx, indptr[1:-1])[::-1])
     rows = np.repeat((g / counts[:, None])[::-1], counts[::-1], axis=0)
-    return (_Deferred(True, shape, later_first, rows),)
+    return (_scatter(shape, later_first, rows),)
 
 
 def gru_sequence(visits, positions, weights) -> Tensor:
@@ -656,9 +648,8 @@ def gru_sequence(visits, positions, weights) -> Tensor:
     h' = z*h + (1-z)*n on (B, 1, .) stacks with the numpy calls of those ops,
     in their order, so the states keep their bits. The backward (BPTT) gives
     the tape what those ops' backwards would, in their order: per weight one
-    deferred product over every step's rows, for ``visits`` one deferred
-    scatter, and per step one sum per bias, an input once per step. So every
-    gradient keeps its bits too."""
+    deferred product over every step's rows, for ``visits`` one scatter, last
+    step first, and per step one sum per bias, an input once per step."""
     visits, weights = _lift(visits), tuple(map(_lift, weights))
     xv, wv = visits.values, [w.values for w in weights]
     idx, hd = np.asarray(positions, dtype=np.intp), wv[2].size
@@ -704,33 +695,30 @@ def _gru_backward(xv, idx, wv, states, zs, rs, ns, g):
     gz, gr, gn = pre.reshape(3, -1, 1, hd)  # (steps * B) stacks, last step first
     x, hs, rh = (a[:, ::-1].swapaxes(0, 1).reshape(-1, a.shape[2])
                  for a in (xv[idx], prev, rs * prev))
-    return (_Deferred(True, xv.shape, idx[:, ::-1].T.ravel(),
-                      ((gn @ wn.T + gr @ wr.T) + gz @ wz.T)[:, 0]),
-            _Deferred(False, wz.shape, x, gz[:, 0]), _Deferred(False, uz.shape, hs, gz[:, 0]),
-            _Deferred(False, wr.shape, x, gr[:, 0]), _Deferred(False, ur.shape, hs, gr[:, 0]),
-            _Deferred(False, wn.shape, x, gn[:, 0]), _Deferred(False, un.shape, rh, gn[:, 0]),
+    return (_scatter(xv.shape, idx[:, ::-1].T.ravel(),
+                     ((gn @ wn.T + gr @ wr.T) + gz @ wz.T)[:, 0]),
+            _Deferred(wz.shape, x, gz[:, 0]), _Deferred(uz.shape, hs, gz[:, 0]),
+            _Deferred(wr.shape, x, gr[:, 0]), _Deferred(ur.shape, hs, gr[:, 0]),
+            _Deferred(wn.shape, x, gn[:, 0]), _Deferred(un.shape, rh, gn[:, 0]),
             *pre.sum(axis=(2, 3)).swapaxes(0, 1).reshape(-1, hd))
 
 
-def fold_sum(parts) -> Tensor:
-    """The entries of ``parts``, flattened and concatenated, summed left to right.
+def fold_sum(x) -> Tensor:
+    """The entries of ``x``, flattened, summed left to right.
 
     ``((x0 + x1) + x2) + ...`` has the bits of a chain of scalar ``add`` ops,
     which a pairwise ``reduce_sum`` loses once there are 8 or more terms. Each
     entry's gradient is the output's gradient, as through the chain.
     """
-    parts = tuple(map(_lift, parts))
-    if not parts:
-        raise ValueError("fold_sum needs at least one tensor")
-    flat = np.concatenate([p.values.ravel() for p in parts])
-    if flat.size == 0:
+    x = _lift(x)
+    xv = x.values
+    if xv.size == 0:
         raise ValueError("fold_sum over no entries")
-    return _emit(_tape_of(*parts), np.add.accumulate(flat)[-1], parts, _fold_backward,
-                 tuple(p.values.shape for p in parts))
+    return _emit(x.tape, np.add.accumulate(xv.ravel())[-1], (x,), _fold_backward, xv.shape)
 
 
-def _fold_backward(shapes, g):
-    return tuple(np.full(shape, g) for shape in shapes)
+def _fold_backward(shape, g):
+    return (np.full(shape, g),)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,6 @@ def cmd_train(args) -> int:
     tree = load_ontology(opts.require("ontology"))
     dataset = load_dataset(dataset_path)
     settings = TrainSettings(
-        task=task,
         seed=seed,
         split_counts=opts.value("split_counts", (210, 30, 60)),
         metric_ks=opts.value("k", (20, 40)),

@@ -23,7 +23,6 @@ __all__ = ["TrainSettings", "derive_seeds", "assemble", "train", "history_to_exa
 
 @dataclass
 class TrainSettings:
-    task: str = "diagnosis"
     seed: int = 0
     split_counts: tuple[int, int, int] = (210, 30, 60)
     metric_ks: tuple[int, ...] = (20, 40)
@@ -43,7 +42,7 @@ def assemble(dataset: EhrDataset, base_tree: OntologyTree,
     seeds = derive_seeds(settings.seed)
     split_dataset(dataset, settings.split_counts, seeds.split)
     tree = pad_virtual_leaves(base_tree, set(dataset.all_codes()))
-    labels = make_labels(dataset, settings.task, tree, hf_prefix=settings.hf_prefix)
+    labels = make_labels(dataset, settings.config.task, tree, hf_prefix=settings.hf_prefix)
     observation = build_observation(dataset, tree)
     cooccurrence = build_cooccurrence(dataset, tree, scope=settings.cooccurrence_scope)
     adjacency = build_ontology_adjacency(tree, cooccurrence)

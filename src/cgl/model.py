@@ -353,17 +353,24 @@ class FrozenScorer:
         """Attention over each note's projected word embeddings, with row i of
         the (N, h, 1) ``o_v`` as the context of ``notes[i]``.
 
-        The notes of one token count L run as one stack: the (B, L, w) words,
-        their (B, L, w) @ (w, h) projection, the (B, L, h) @ (B, h, 1) scores
-        and ``attend``. Returns the note :class:`Stack` s in increasing L and
-        the (N, 1, h) summaries o_n, zero for an empty note.
+        One gather reads every token of the batch from ``word_embed``, the
+        longest notes first, so the gradient is one scatter in the order the
+        reverse sweep reaches the stacks. The notes of one token count L run as
+        one stack: their (B, L, w) rows of that gather, their (B, L, w) @
+        (w, h) projection, the (B, L, h) @ (B, h, 1) scores and ``attend``.
+        Returns the note :class:`Stack` s in increasing L and the (N, 1, h)
+        summaries o_n, zero for an empty note.
         """
-        def run(members, _):
-            words = ad.gather_rows(leaves["word_embed"], np.stack([notes[i] for i in members]))
-            proj = ad.matmul(words, leaves["word_proj"])
+        lengths = np.array([len(tokens) for tokens in notes])
+        words = ad.gather_rows(leaves["word_embed"], np.concatenate(
+            [notes[i] for i in np.argsort(-lengths, kind="stable")]))
+
+        def run(members, n):
+            rows = lengths[lengths > n].sum() + np.arange(members.size * n).reshape(-1, n)
+            proj = ad.matmul(ad.gather_rows(words, rows), leaves["word_proj"])
             return attend(ad.matmul(proj, ad.gather_rows(o_v, members)), proj)
 
-        stacks, o_n = by_length(np.array([len(tokens) for tokens in notes]), run)
+        stacks, o_n = by_length(lengths, run)
         return stacks, in_batch_order(stacks, o_n, (len(notes), 1, self.config.gru_hidden))
 
     def patient_forward(self, leaves, visits: ad.Tensor, examples: list[PatientExample]
@@ -547,8 +554,8 @@ class CollaborativeGraphModel(FrozenScorer):
         pen = [rectified_penalty(s.alpha, np.stack([examples[i].beta for i in s.members])[:, None])
                for s in stacks]
         n = len(examples)
-        ce_mean = ad.mul(ad.fold_sum([ce]), 1.0 / n)
-        pen_mean = ad.mul(ad.fold_sum([in_batch_order(stacks, pen, (n, 1))]), 1.0 / n)
+        ce_mean = ad.mul(ad.fold_sum(ce), 1.0 / n)
+        pen_mean = ad.mul(ad.fold_sum(in_batch_order(stacks, pen, (n, 1))), 1.0 / n)
         loss = ad.add(ce_mean, ad.mul(pen_mean, self.config.note_loss_weight))
         return loss, ce_mean, pen_mean
 

@@ -5,7 +5,10 @@ module-level backward function bound to its saved operands: every call builds
 a fresh closure, and ``add``, ``sub`` and ``mul`` pass lambdas to ``_binary``.
 They record on the package's own :class:`~cgl.autodiff.Tape`, so a program
 built from them runs through the same reverse sweep. Values and gradients of
-the package's ops must equal theirs bit for bit.
+the package's ops must equal theirs bit for bit. ``matmul`` defers its right
+operand's gradient as a product, as the package's does; ``gather_rows``
+scatter-adds at once, with ``np.add.at`` into a table and ``np.bincount`` into
+a vector.
 """
 
 import math
@@ -165,7 +168,7 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         g2 = g.reshape(out2.shape)
         ga = (g2 @ b2.T).reshape(av.shape) if need_a else None
-        gb = _Deferred(False, bv.shape, a2, g2) if need_b else None
+        gb = _Deferred(bv.shape, a2, g2) if need_b else None
         return ga, gb
 
     return _emit(_tape_of(a, b), out, (a, b), backward)
@@ -292,8 +295,8 @@ def reshape(x, shape) -> Tensor:
 
 def gather_rows(table, indices) -> Tensor:
     """Select rows of a 2-d table, or entries of a vector; backward
-    scatter-adds, so repeated indices accumulate gradient. A table's
-    scatter is deferred to the tape; a vector's is one ``bincount``."""
+    scatter-adds at once, so repeated indices accumulate gradient: a table's
+    scatter is one ``np.add.at``, a vector's one ``bincount``."""
     table = _lift(table)
     tv = table.values
     if tv.ndim not in (1, 2):
@@ -310,7 +313,9 @@ def gather_rows(table, indices) -> Tensor:
     def backward(g):
         if tv.ndim == 1:
             return (np.bincount(idx, weights=g, minlength=n),)
-        return (_Deferred(True, tv.shape, idx, g),)
+        out = np.zeros(tv.shape)
+        np.add.at(out, idx, g)
+        return (out,)
 
     return _emit(_tape_of(table), tv[idx], (table,), backward)
 

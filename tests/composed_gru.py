@@ -5,7 +5,10 @@ Before it, ``FrozenScorer.encode_visits`` recorded each step as a gather, six
 products and elementwise ops on (B, 1, .) stacks, and joined the states with
 one concat per later step. That form is kept here, with the ``tanh`` op only
 it used. The op's states must equal these bit for bit, and so must its
-gradients: each summed in the tape's reverse-entry order.
+gradients: each summed in the tape's reverse-entry order. Each step reads its
+rows from one gather of every step's rows, last step first, so the visits'
+gradient is one scatter in the order the reverse sweep reaches the steps, as
+the op's is.
 """
 
 import numpy as np
@@ -36,10 +39,11 @@ def gru_sequence(visits, positions, weights):
     """The (B, T, h) states, one composed step at a time from a zero state."""
     wz, uz, bz, wr, ur, br, wn, un, bn = weights
     n, steps = positions.shape
+    last_step_first = ad.gather_rows(visits, positions[:, ::-1].T.ravel())
     h = ad.constant(np.zeros((n, 1, _lift(bz).values.size)))
     rows = None
     for t in range(steps):
-        x = ad.gather_rows(visits, positions[:, t:t + 1])
+        x = ad.gather_rows(last_step_first, ((steps - 1 - t) * n + np.arange(n))[:, None])
         z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h, uz)), bz))
         r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h, ur)), br))
         cand = tanh(ad.add(ad.add(ad.matmul(x, wn), ad.matmul(ad.mul(r, h), un)), bn))

@@ -61,7 +61,7 @@ def train_cluster_variant(data_dir, seed, **config_overrides) -> dict:
     tree = load_ontology(data_dir / "ontology.tsv")
     dataset = load_dataset(data_dir / "dataset.jsonl")
     settings = TrainSettings(
-        task="diagnosis", seed=seed, split_counts=(210, 30, 60), metric_ks=(10,),
+        seed=seed, split_counts=(210, 30, 60), metric_ks=(10,),
         config=cluster_model_config(**config_overrides))
     problem = assemble(dataset, tree, settings)
     model, history = train(problem)
@@ -120,7 +120,7 @@ def test_criterion_3_overfit_capability(tmp_path):
         cluster_word_rate=1.0, partner_note_rate=0.0)
     generate_synthetic(corpus, 42, tmp_path)
     settings = TrainSettings(
-        task="diagnosis", seed=7, split_counts=(50, 0, 0), metric_ks=(5,),
+        seed=7, split_counts=(50, 0, 0), metric_ks=(5,),
         config=cluster_model_config(code_dim=8, patient_dim=8, word_dim=8,
                                     epochs=300, batch_size=16))
     problem = assemble(load_dataset(tmp_path / "dataset.jsonl"),

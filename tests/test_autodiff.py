@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 
 from cgl import autodiff as ad
@@ -400,6 +402,35 @@ def test_gather_rows_vector_scatter_adds():
     assert np.array_equal(vec.grad, [10.0, 0.0, 101.0])
 
 
+entries = st.one_of(st.floats(width=64),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]))
+
+
+@given(rows=st.integers(1, 6), trailing=st.lists(st.integers(1, 3), max_size=2),
+       data=st.data())
+def test_scatter_matches_a_python_loop(rows, trailing, data):
+    """``_scatter`` into 1-d, 2-d and 3-d tables equals ``out[i] += row`` in
+    index order, byte for byte: indices repeat or leave rows out, and rows
+    hold signed zeros, infinities, NaN and the largest magnitudes. The one
+    exception is which NaN a sum of two NaNs keeps (inf + -inf makes a
+    negative one): numpy's vector and strided add loops keep different
+    operands, so a NaN entry is compared as NaN, not by its sign and payload."""
+    idx = np.array(data.draw(st.lists(st.integers(0, rows - 1), max_size=10)), dtype=np.intp)
+    width = math.prod(trailing)
+    values = data.draw(st.lists(entries, min_size=idx.size * width, max_size=idx.size * width))
+    row_values = np.array(values, dtype=np.float64).reshape(idx.size, *trailing)
+    want = np.zeros((rows, *trailing))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, row in zip(idx, row_values):
+            want[i] += row
+        got = ad._scatter((rows, *trailing), idx, row_values)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    got[nan] = want[nan] = 0.0
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gather_rows_index_shape_gives_output_shape():
     """A (B, 1) index array gives a (B, 1, d) stack and a 0-d index one row;
     the gradient scatters back as for the flat indices."""
@@ -426,19 +457,18 @@ def test_fold_sum_is_a_left_fold():
     """The bits of a chain of scalar adds, in flattened order, where a
     pairwise sum differs; every entry's gradient is the output's."""
     flat = np.array([1.0] + [1e-16] * 19)  # each tiny term alone rounds away
-    parts0 = list(flat.reshape(5, 4, 1))
     chain = functools.reduce(lambda acc, v: ad.add(acc, v), [ad.constant(v) for v in flat])
     tape = ad.Tape()
-    parts = [tape.leaf(p) for p in parts0]
-    total = ad.fold_sum(parts)
+    x = tape.leaf(flat.reshape(5, 4, 1))
+    total = ad.fold_sum(x)
     assert total.shape == ()
     assert total.values.tobytes() == chain.values.tobytes()
     assert total.item() == 1.0 < flat.sum()  # a pairwise sum keeps the tiny terms
     ad.mul(total, 3.0).backward()
-    assert all(np.array_equal(p.grad, np.full((4, 1), 3.0)) for p in parts)
-    assert ad.fold_sum([np.array(2.0), np.array(0.5)]).item() == 2.5
-    with pytest.raises(ValueError):
-        ad.fold_sum([])
+    assert np.array_equal(x.grad, np.full((5, 4, 1), 3.0))
+    assert ad.fold_sum(np.array([2.0, 0.5])).item() == 2.5
+    with pytest.raises(ValueError, match="no entries"):
+        ad.fold_sum(np.empty((2, 0)))
 
 
 def test_reshape_gradient():

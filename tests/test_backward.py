@@ -1,12 +1,12 @@
 """The tape's backward pass against the eager reference sweep.
 
-``Tape.backward`` defers the right-operand gradient of ``matmul`` and the
-table gradient of a 2-d ``gather_rows`` and resolves each node's deferred
-contributions in one product or one scatter. The eager sweep in
-``eager_backward.py`` adds every contribution densely as it arrives. The two
-must give the same loss bits, gradients equal to 1e-10, and the same bits
-wherever a gradient was never summed, and every case must agree with finite
-differences.
+``Tape.backward`` defers the right-operand gradient of ``matmul`` and
+resolves each node's deferred products in one GEMM; every scatter-add runs at
+once. The eager sweep in ``eager_backward.py`` adds every contribution densely
+as it arrives. The two must give the same loss bits, gradients equal to
+1e-10, and the same bits wherever a gradient was never summed, and every case
+must agree with finite differences. The word embeddings' gradient is one
+scatter of the note stacks' word gradients, the longest notes first.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cgl import autodiff as ad
 from cgl import model
+from cgl.autodiff import gather_rows
 from cgl.data import GeneratorConfig, generate_synthetic, load_dataset
 from cgl.experiment import TrainSettings, assemble
 from cgl.ontology import load_ontology
@@ -102,6 +103,34 @@ def test_wide_shaped_step_matches_eager_and_reruns_byte_identical(wide_shaped):
     assert_rerun_byte_identical(program, first)
 
 
+@pytest.mark.parametrize("name", ["fixture-diagnosis", "fixture-heart_failure", "train-small"])
+def test_word_gradient_is_one_scatter_of_the_note_stacks(problems, monkeypatch, name):
+    """``word_embed``'s gradient is one scatter-add of the note stacks'
+    (B, L, w) word gradients over their tokens, the longest notes first: the
+    order in which the reverse sweep reaches the stacks."""
+    net, batch, _ = problems[name]
+    gathers = []
+
+    def recording(table, indices):
+        out = gather_rows(table, indices)
+        gathers.append((table, out))
+        return out
+
+    monkeypatch.setattr(ad, "gather_rows", recording)
+    loss, leaves = net.loss_program(batch)()
+    monkeypatch.undo()
+    [words] = [out for table, out in gathers if table is leaves["word_embed"]]
+    stacks = {out.shape[1]: out for table, out in gathers if table is words}
+    lengths = np.array([len(ex.note_tokens) for ex in batch])
+    assert sorted(stacks) == sorted(set(lengths[lengths > 0]))
+    by_node = tape_backward_by_node(loss)
+    want = np.zeros_like(leaves["word_embed"].values)
+    for n in sorted(stacks, reverse=True):
+        tokens = np.stack([ex.note_tokens for ex in batch if len(ex.note_tokens) == n])
+        np.add.at(want, tokens.ravel(), by_node[stacks[n].node_id].reshape(tokens.size, -1))
+    assert leaves["word_embed"].grad.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # property tests: random shapes and index sets, finite differences and the
 # eager sweep
@@ -149,9 +178,9 @@ index_sets = st.lists(st.lists(st.integers(0, 4), max_size=6), min_size=1, max_s
        gathers=index_sets, mixed_gathers=index_sets, vector_gather=st.lists(st.integers(0, 4)))
 def test_gather_rows_repeated_empty_and_mixed(seed, rows, width, gathers, mixed_gathers,
                                                vector_gather):
-    """``emb`` is reached only through deferred scatters; ``x = tanh(table)``
-    gets scatters, a deferred product and a dense gradient, as o_v and h_c do;
-    ``vec`` is a 1-d table. Index sets may repeat rows or be empty."""
+    """``emb`` is reached only through scatters; ``x = tanh(table)`` gets
+    scatters, a deferred product and a dense gradient; ``vec`` is a 1-d
+    table. Index sets may repeat rows or be empty."""
     rng = np.random.default_rng(seed)
     params = {"emb": rng.normal(size=(rows, width)), "table": rng.normal(size=(rows, width)),
               "vec": rng.normal(size=rows)}
@@ -189,8 +218,8 @@ def test_gather_rows_repeated_empty_and_mixed(seed, rows, width, gathers, mixed_
 
 
 def test_deferred_contribution_resolves_alone():
-    """``np.asarray`` of a deferred contribution is the dense gradient the op
-    used to return."""
+    """``np.asarray`` of a deferred product is the dense gradient the op used
+    to return; a gather's gradient is its dense scatter already."""
     rng = np.random.default_rng(2)
     a, b, g = rng.normal(size=(3, 4)), rng.normal(size=(4,)), rng.normal(size=3)
     tape = ad.Tape()
@@ -201,6 +230,7 @@ def test_deferred_contribution_resolves_alone():
     tape = ad.Tape()
     ad.gather_rows(tape.leaf(table), [4, 0, 4])
     (gt,) = tape._entries[-1][2](np.ones((3, 2)))
+    assert type(gt) is np.ndarray
     expected = np.zeros((5, 2))
     expected[[0, 4]] = [[1.0, 1.0], [2.0, 2.0]]
     assert np.array_equal(np.asarray(gt), expected)

@@ -81,3 +81,35 @@ def test_pairs_without_the_metric_are_left_out():
     out = bench_pairs.summary({"end_to_end": [metric("rate", "higher")]}, {"w": runs})
     assert out["w"]["fail"]["change"]["runs_without_result"] == 1
     assert out["w"]["fail"]["parent"]["runs_without_result"] == 0
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    """An 83% parent range against a 25% bound, as train-small ``setup_s``
+    read over ten runs of unchanged set-up code; the change's runs mix with
+    the parent's."""
+    parent = [0.0139, 0.0254, 0.0141, 0.0230, 0.0145, 0.0150, 0.0240, 0.0143, 0.0148, 0.0152]
+    change = [0.0142, 0.0235, 0.0144, 0.0138, 0.0250, 0.0149, 0.0146, 0.0228, 0.0151, 0.0147]
+    row = bench_pairs.summarise(metric("setup_s", "lower"), pairs("setup_s", parent, change))
+    assert row["parent_range_share"] == pytest.approx(0.8273, abs=1e-4)
+    assert row["inside_bound"]
+    assert row["unresolved"]
+
+
+def test_a_parent_spread_inside_the_bound_is_resolved():
+    parent = [100.0, 104.0, 98.0, 101.0, 107.8, 100.0, 103.0, 99.0, 100.0, 102.0]
+    change = [101.0, 99.0, 102.0, 100.0, 98.5, 103.0, 100.5, 101.5, 99.5, 100.0]
+    row = bench_pairs.summarise(metric("rate", "higher"), pairs("rate", parent, change))
+    assert row["parent_range_share"] == pytest.approx(0.1)
+    assert row["inside_bound"]
+    assert not row["unresolved"]
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved():
+    """The parent spreads 83%, but every change run is faster than its
+    fastest run."""
+    parent = [0.0139, 0.0254, 0.0141, 0.0230, 0.0145, 0.0150, 0.0240, 0.0143, 0.0148, 0.0152]
+    change = [0.0100, 0.0120, 0.0110, 0.0105, 0.0138, 0.0101, 0.0102, 0.0115, 0.0108, 0.0111]
+    row = bench_pairs.summarise(metric("setup_s", "lower"), pairs("setup_s", parent, change))
+    assert row["parent_range_share"] > 0.8
+    assert row["change_wins"] == 10
+    assert not row["unresolved"]

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from cgl import data, graphs, model, text
 from cgl import ontology as onto
+from cgl.experiment import TrainSettings, assemble
 from oracles import label_vectors
+from problem_fixtures import HF_PREFIX, TINY_EDGES, tiny_config, tiny_dataset
 
 
 def flat_tree(codes):
@@ -133,6 +135,24 @@ def test_make_labels_heart_failure_prefix():
     assert np.array_equal(y, [[1.0], [0.0]])
     with pytest.raises(ValueError):
         data.make_labels(ds, "heart_failure", tree)
+
+
+@pytest.mark.parametrize("task", ["diagnosis", "heart_failure"])
+def test_assemble_labels_by_the_config_task(task):
+    """The model config holds the one task field: a heart-failure config
+    gets binary labels, [0] or [], to match its one-wide head."""
+    settings = TrainSettings(split_counts=(4, 0, 0), hf_prefix=HF_PREFIX,
+                             config=tiny_config(task))
+    problem = assemble(tiny_dataset(), onto.load_ontology(TINY_EDGES), settings)
+    positives = [ex.positives.tolist() for ex in problem.examples["train"]]
+    head = model.FrozenScorer.array_shapes(settings.config, problem.tree.n_leaves,
+                                           len(problem.vocab))["head_bias"]
+    if task == "heart_failure":
+        assert sorted(positives) == [[], [], [0], [0]]
+        assert head == (1,)
+    else:
+        assert max(map(len, positives)) > 1
+        assert head == (problem.tree.n_leaves,)
 
 
 # Index lists as examples hold them: diagnosis labels are sorted leaf

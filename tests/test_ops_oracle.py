@@ -5,8 +5,9 @@ operands. On random shapes (equal shapes, ``()`` and ``(1,)`` scalars,
 trailing-suffix bias rows) and every mix of tracked and untracked operands,
 its values and gradients must equal the closure form's bit for bit, and the
 gradients must agree with finite differences. ``group_mean`` has no closure
-form: its oracle is ``reduce_mean(gather_rows(table, group), axis=0)`` per
-group, recorded in group order. Nor has ``gru_sequence``: its oracle is the
+form: its oracle is ``reduce_mean(gather_rows(...), axis=0)`` per group, in
+group order, each group reading its rows from one gather of every group's
+rows, later groups first. Nor has ``gru_sequence``: its oracle is the
 recurrence composed of ops, step by step, in ``composed_gru.py``.
 """
 
@@ -227,10 +228,16 @@ def test_batchnorm_matches_oracle(seed, n, d, train, tracked):
 
 
 def per_group_oracle(table, groups):
-    """The parent's visit pooling: per group, in order, a gather and a mean."""
-    rows = [old.reshape(old.reduce_mean(old.gather_rows(table, g), axis=0), (1, -1))
-            for g in groups]
-    return rows
+    """The per-visit pooling: per group, in order, a gather and a mean. Every
+    group's rows are gathered from ``table`` once, later groups first, and
+    each group reads its own rows from that gather, so the table's gradient
+    is one scatter in the order the reverse sweep reaches the groups."""
+    sizes = [len(g) for g in groups]
+    later_first = old.gather_rows(table, np.concatenate(groups[::-1]))
+    ends = np.cumsum(sizes[::-1])[::-1]  # group i's rows end there
+    return [old.reshape(old.reduce_mean(
+        old.gather_rows(later_first, np.arange(end - size, end)), axis=0), (1, -1))
+        for size, end in zip(sizes, ends)]
 
 
 def assert_group_mean_matches(table_values, groups, w):
@@ -524,7 +531,7 @@ def test_tape_entries_hold_no_closure():
     h = ad.matmul(ad.reshape(h, (2, 1, 2)), w)
     gates = [w, w, np.zeros(2)] * 3
     h = ad.gru_sequence(ad.reshape(h, (2, 2)), [[0, 1], [1, 0]], gates)
-    loss = ad.fold_sum([ad.log(ad.reduce_mean(ad.reshape(ad.add(h, 2.0), (-1,)), axis=0))])
+    loss = ad.fold_sum(ad.log(ad.reduce_mean(ad.reshape(ad.add(h, 2.0), (-1,)), axis=0)))
     for _, _, backward in tape._entries:
         assert isinstance(backward, functools.partial)
         assert backward.func.__closure__ is None

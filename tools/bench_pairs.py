@@ -16,9 +16,12 @@ The result goes to REPO/BENCH_<pr>.json. For each workload and end-to-end
 metric it records the parent's median, quartiles, IQR and full range, the
 change's median and range, the change's wins (pairs in which the change is
 better), the relative change of the medians and the metric's bound, next to
-the parent's own range as a share of its smallest run. It also records both
-shas and their `src` trees, nproc, the BLAS thread count the benchmark pins,
-the seeds, every run's values, and failed runs. The file is rewritten after
+the parent's own range as a share of its smallest run. A metric is
+unresolved when that share exceeds its bound and not every change run beats
+every parent run: the parent's own runs then spread wider than the bound, so
+the change's median can read inside or outside it by noise alone. It also
+records both shas and their `src` trees, nproc, the BLAS thread count the
+benchmark pins, the seeds, every run's values, and failed runs. The file is rewritten after
 every run, so a series cut short keeps what it measured. The worktrees are
 removed at the end.
 """
@@ -96,6 +99,7 @@ def summarise(metric: dict, pairs: list[dict]) -> dict | None:
     gain = (p_med - c_med) if direction == "lower" else (c_med - p_med)
     relative = c_med / p_med - 1.0 if p_med else float("nan")
     worse_by = relative if direction == "lower" else -relative
+    beats_every_run = all(better(direction, c, p) for c in change for p in parent)
     return {
         "unit": metric["unit"], "better": direction, "bound": metric["bound"], "pairs": len(done),
         "parent": {"median": p_med, "q1": q1, "q3": q3, "iqr": q3 - q1, "min": min(parent),
@@ -105,6 +109,8 @@ def summarise(metric: dict, pairs: list[dict]) -> dict | None:
         "change_wins": sum(better(direction, c, p) for p, c in zip(parent, change)),
         "relative_change": relative,
         "inside_bound": worse_by <= metric["bound"],
+        "unresolved": (max(parent) - min(parent) > metric["bound"] * min(parent)
+                       and not beats_every_run),
         "gain_beyond_parent_iqr": gain > q3 - q1,
     }
 
@@ -132,7 +138,8 @@ def print_table(result: dict) -> None:
                   f"[{p['min']:.4g}-{p['max']:.4g}]".ljust(82)
                   + f"{m['change']['median']:>10.4g} {m['change_wins']:>3}/{m['pairs']:<2} "
                   f"{m['relative_change']:>+8.1%} {m['bound']:>6.0%}"
-                  + ("" if m["inside_bound"] else "  OUTSIDE"))
+                  + ("" if m["inside_bound"] else "  OUTSIDE")
+                  + ("  UNRESOLVED" if m["unresolved"] else ""))
         fail = block["fail"]
         print(f"{workload:<12} failed/attempted: parent {fail['parent']['failed']}/"
               f"{fail['parent']['attempted']}, change {fail['change']['failed']}/"

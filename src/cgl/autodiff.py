@@ -219,7 +219,10 @@ class Tape:
         seed = np.ones_like(loss.values)
         grads: dict[int, np.ndarray] = {loss.node_id: seed}
         deferred: dict[int, list[_Deferred]] = {}
-        for out_id, in_ids, backward_fn in reversed(self._entries):
+        # Each entry is popped as the sweep reaches it, so the arrays its
+        # backward saved are freed once it has run, not when the sweep ends.
+        while self._entries:
+            out_id, in_ids, backward_fn = self._entries.pop()
             g = grads.pop(out_id, None)
             if out_id in deferred:
                 g = _settle(g, deferred.pop(out_id))
@@ -243,7 +246,6 @@ class Tape:
             t.grad = np.zeros_like(t.values) if g is None else np.asarray(g, dtype=np.float64)
         # Tensors point at their tape; dropping the tape's references back to
         # them breaks the cycle, so the tape is freed without the collector.
-        self._entries = []
         self._leaves = []
 
 

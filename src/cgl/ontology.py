@@ -64,10 +64,6 @@ class CodeIndex:
             patient = "" if pid is None else f" (patient {pid})"
             raise DataError(f"{where}unknown code {exc.args[0]!r}{patient}") from None
 
-    def leaf_for(self, code: str) -> int:
-        """Dense leaf index of one diagnosable code (after padding)."""
-        return self.resolve((code,), None)[0]
-
 
 class OntologyTree(CodeIndex):
     """Validated hierarchy with per-level node lists over a code index: ``parent``

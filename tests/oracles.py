@@ -23,6 +23,12 @@ def lca_level(tree, ci: int, cj: int) -> int:
     return int(np.count_nonzero(tree.ancestors[ci] == tree.ancestors[cj]))
 
 
+def leaf_for(index, code: str) -> int:
+    """Dense leaf index of one diagnosable code (after padding), as the
+    package's ``CodeIndex.leaf_for`` once gave it: ``resolve`` on one code."""
+    return index.resolve((code,), None)[0]
+
+
 def label_vectors(index_lists, width: int) -> np.ndarray:
     """The dense label rows examples once held: per index list, ``np.zeros``
     of ``width`` with ones set at its indices; the rows stacked."""

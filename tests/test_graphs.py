@@ -5,7 +5,7 @@ from scipy import sparse
 from cgl import graphs as gr
 from cgl import ontology as onto
 from cgl.data import EhrDataset, Patient, Visit
-from oracles import lca_level
+from oracles import lca_level, leaf_for
 
 
 def flat_tree(codes):
@@ -38,7 +38,7 @@ def brute_cooccurrence(dataset, tree):
     out = np.zeros((n, n))
     for p in dataset.split_patients("train"):
         for v in p.visits[:-1]:
-            idx = sorted({tree.leaf_for(c) for c in v.codes})
+            idx = sorted({leaf_for(tree, c) for c in v.codes})
             for a in idx:
                 for b in idx:
                     if a != b:

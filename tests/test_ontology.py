@@ -5,7 +5,7 @@ import pytest
 
 from cgl import checkpoint, data
 from cgl import ontology as onto
-from oracles import lca_level
+from oracles import lca_level, leaf_for
 from problem_fixtures import TINY_EDGES, build_problem, tiny_dataset
 
 
@@ -314,6 +314,6 @@ def test_manifest_index_matches_tree_on_problem_fixtures(internal):
 def test_code_index_resolver():
     index = onto.CodeIndex(["a", "b"], {"a": 0, "b": 1, "up": 1})
     assert index.resolve(["b", "up", "a"], "p1") == [1, 1, 0]
-    assert index.leaf_for("up") == 1
+    assert leaf_for(index, "up") == 1
     with pytest.raises(data.DataError, match=r"^line 4: unknown code 'zz' \(patient p1\)$"):
         index.resolve(["a", "zz"], "p1", "line 4: ")

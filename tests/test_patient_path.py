@@ -10,7 +10,8 @@ lone matrix, so every forward bit must equal the per-patient path of
 ``per_patient_path.py``: each patient's scores, o_v, location attention and
 note attention, the batch loss and its parts, and the predicted scores. The
 gradients sum the stacked rows in another order, so they must equal the
-oracle's to 1e-10.
+oracle's to 1e-10. Their bytes must equal those of ``stack_order.py``, which
+forms every sum across the stacks by hand, in the documented order.
 """
 
 import functools
@@ -32,6 +33,7 @@ from cgl import model
 from cgl.model import (FrozenScorer, ModelConfig, ModelParams, PatientExample, by_length,
                        in_batch_order, predict_scores)
 from problem_fixtures import build_problem
+from stack_order import stack_order_gradients
 
 
 def close(a, b, tol=1e-10):
@@ -87,19 +89,20 @@ def assert_forward_matches(net, leaves, h_c, batch):
 
 def assert_loss_and_gradients_match(net, batch):
     """The loss and its cross-entropy and penalty parts equal the oracle's
-    bit for bit; the gradients match to 1e-10."""
+    bit for bit; the gradients match it to 1e-10, and equal byte for byte
+    those of ``stack_order.py``, which sums across the stacks by hand."""
     leaves = net._constants()
     h_c = net.graph_forward(leaves, mode="train", update_stats=False)
     for got, want in zip(net.batch_loss(leaves, h_c, batch),
                          oracle.batch_loss(net, leaves, h_c, batch)):
         assert got.values.tobytes() == want.values.tobytes()
-    loss, leaves = net.loss_program(batch)()
+    loss, leaves, summed = stack_order_gradients(net, batch)
     want, want_leaves = oracle.loss_program(net, batch)()
     assert loss.values.tobytes() == want.values.tobytes()
-    loss.backward()
     want.backward()
     for name, leaf in want_leaves.items():
         assert close(leaves[name].grad, leaf.grad), name
+        assert leaves[name].grad.tobytes() == summed[name].tobytes(), name
 
 
 def assert_predictions_match(net, scored):

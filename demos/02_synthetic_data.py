@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory() as tmp:
     # The two graphs the model trains on: patient-code observations and the
     # co-occurrence-masked hierarchy adjacency.
     obs = build_observation(dataset, tree)
-    cooc = build_cooccurrence(dataset, tree)
+    cooc = build_cooccurrence(dataset, tree, "visit")
     adj = build_ontology_adjacency(tree, cooc)
     n = tree.n_leaves
     print(f"codes: {n}, training patients: {obs.n_patients}")

@@ -46,7 +46,7 @@ def _collect_arrays(model: CollaborativeGraphModel) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(out_dir, model: CollaborativeGraphModel, vocab: Vocabulary, *,
-                    split: dict, hf_prefix: str | None = None, metric_ks=(20, 40)) -> Path:
+                    split: dict, metric_ks, hf_prefix: str | None = None) -> Path:
     """``split`` is ``{"counts": [train, valid, test], "seed": seed}``, as
     ``cgl evaluate`` re-splits the dataset by it."""
     _check_split(split)

@@ -65,41 +65,8 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-class Options:
-    """String key-value store with a typed accessor; flags override the file."""
-
-    def __init__(self, values: dict[str, str]):
-        self.values = values
-
-    def has(self, key: str) -> bool:
-        return key in self.values and self.values[key] != ""
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
-    def value(self, key: str, default):
-        """The key's value parsed by the type of ``default`` (bool, int, float,
-        str or a comma-separated tuple of ints); ``default`` when unset."""
-        if not self.has(key):
-            return default
-        raw = self.values[key]
-        try:
-            if isinstance(default, bool):
-                return BOOLEANS[raw.lower()]
-            if isinstance(default, tuple):
-                return tuple(int(part) for part in raw.split(",") if part.strip())
-            return type(default)(raw)
-        except (KeyError, ValueError):
-            raise ValueError(f"config key {key!r} needs a {type(default).__name__}, "
-                             f"got {raw!r}") from None
-
-    def require(self, key: str) -> str:
-        if not self.has(key):
-            raise ValueError(f"missing required option {key!r} (flag or config key)")
-        return self.values[key]
-
-
-def gather_options(args: argparse.Namespace) -> Options:
+def gather_options(args: argparse.Namespace) -> dict[str, str]:
+    """The non-empty keys of the config file and the flags; flags win."""
     values: dict[str, str] = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
@@ -107,11 +74,42 @@ def gather_options(args: argparse.Namespace) -> Options:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = str(v)
-    return Options(values)
+    return {key: v for key, v in values.items() if v != ""}
 
 
-def resolve_task(opts: Options) -> str:
-    raw = opts.get("task", "diagnosis")
+def value(opts: dict[str, str], key: str, default):
+    """The key's value parsed by the type of ``default`` (bool, int, float,
+    str or a comma-separated tuple of ints; a ``None`` default takes the
+    string); ``default`` when unset."""
+    if key not in opts:
+        return default
+    raw = opts[key]
+    try:
+        if isinstance(default, bool):
+            return BOOLEANS[raw.lower()]
+        if isinstance(default, tuple):
+            return tuple(int(part) for part in raw.split(",") if part.strip())
+        return raw if default is None else type(default)(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {key!r} needs a {type(default).__name__}, "
+                         f"got {raw!r}") from None
+
+
+def require(opts: dict[str, str], key: str) -> str:
+    if key not in opts:
+        raise ValueError(f"missing required option {key!r} (flag or config key)")
+    return opts[key]
+
+
+def metric_ks(opts: dict[str, str], default: tuple[int, ...]) -> tuple[int, ...]:
+    ks = value(opts, "k", default)
+    if min(ks, default=1) < 1:
+        raise ValueError(f"option 'k' must be at least 1, got {opts['k']!r}")
+    return ks
+
+
+def resolve_task(opts: dict[str, str]) -> str:
+    raw = opts.get("task", ModelConfig.task)
     if raw in TASK_NAMES:
         return TASK_NAMES[raw]
     if raw in TASK_NAMES.values():
@@ -119,14 +117,30 @@ def resolve_task(opts: Options) -> str:
     raise ValueError(f"unknown task {raw!r} (expected diagnosis or hf)")
 
 
-def config_fields(cls, opts: Options, prefix: str = "") -> dict:
+def config_fields(cls, opts: dict[str, str], prefix: str = "") -> dict:
     """The config values set for the fields of dataclass ``cls``, each parsed by
     the type of the field's default."""
-    return {f.name: opts.value(prefix + f.name, f.default)
-            for f in fields(cls) if opts.has(prefix + f.name)}
+    return {f.name: value(opts, prefix + f.name, f.default)
+            for f in fields(cls) if prefix + f.name in opts}
 
 
-def model_config_from(opts: Options, task: str) -> ModelConfig:
+def _manifest_hf_prefix(dataset_path: str, task: str) -> str | None:
+    """The prefix recorded by the dataset's generator manifest, if any."""
+    sidecar = Path(str(dataset_path)).parent / "dataset.manifest.json"
+    if sidecar.exists():
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            prefix = json.load(fh).get("hf_prefix")
+        if prefix:
+            return prefix
+    if task == "heart_failure":
+        raise ValueError("heart-failure task needs hf_prefix (config key) or a "
+                         "dataset manifest that records one")
+    return None
+
+
+def train_settings_from(opts: dict[str, str], dataset_path: str) -> TrainSettings:
+    """The run and model keys; an unset ``hf_prefix`` is the dataset manifest's."""
+    task = resolve_task(opts)
     config = ModelConfig(**{"note_loss_weight": default_note_loss_weight(task),
                             **config_fields(ModelConfig, opts), "task": task})
     ablation = opts.get("ablation")
@@ -134,11 +148,10 @@ def model_config_from(opts: Options, task: str) -> ModelConfig:
         if ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {ablation!r}")
         setattr(config, ABLATIONS[ablation], False)
-    return config
-
-
-def generator_config_from(opts: Options) -> GeneratorConfig:
-    return GeneratorConfig(**config_fields(GeneratorConfig, opts, "gen_"))
+    run = config_fields(TrainSettings, opts)
+    return TrainSettings(**{
+        **run, "metric_ks": metric_ks(opts, TrainSettings.metric_ks), "config": config,
+        "hf_prefix": run.get("hf_prefix") or _manifest_hf_prefix(dataset_path, task)})
 
 
 def format_value(value) -> str:
@@ -160,9 +173,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_generate(args) -> int:
     opts = gather_options(args)
-    out_dir = Path(opts.require("out"))
-    seed = opts.value("seed", 0)
-    manifest = generate_synthetic(generator_config_from(opts), seed, out_dir)
+    out_dir = Path(require(opts, "out"))
+    seed = value(opts, "seed", TrainSettings.seed)
+    config = GeneratorConfig(**config_fields(GeneratorConfig, opts, "gen_"))
+    manifest = generate_synthetic(config, seed, out_dir)
     stats = manifest["stats"]
     print(f"wrote {out_dir / manifest['files']['ontology']}")
     print(f"wrote {out_dir / manifest['files']['dataset']}")
@@ -173,39 +187,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_hf_prefix(opts: Options, dataset_path: str, task: str) -> str | None:
-    if opts.has("hf_prefix"):
-        return opts.get("hf_prefix")
-    sidecar = Path(str(dataset_path)).parent / "dataset.manifest.json"
-    if sidecar.exists():
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            prefix = json.load(fh).get("hf_prefix")
-        if prefix:
-            return prefix
-    if task == "heart_failure":
-        raise ValueError("heart-failure task needs hf_prefix (config key) or a "
-                         "dataset manifest that records one")
-    return None
-
-
 def cmd_train(args) -> int:
     opts = gather_options(args)
-    out_dir = Path(opts.require("out"))
+    out_dir = Path(require(opts, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    task = resolve_task(opts)
-    seed = opts.value("seed", 0)
-    dataset_path = opts.require("dataset")
-    tree = load_ontology(opts.require("ontology"))
-    dataset = load_dataset(dataset_path)
-    settings = TrainSettings(
-        seed=seed,
-        split_counts=opts.value("split_counts", (210, 30, 60)),
-        metric_ks=opts.value("k", (20, 40)),
-        cooccurrence_scope=opts.get("cooccurrence_scope", "visit"),
-        hf_prefix=_resolve_hf_prefix(opts, dataset_path, task),
-        config=model_config_from(opts, task),
-    )
-    problem = assemble(dataset, tree, settings)
+    dataset_path = require(opts, "dataset")
+    settings = train_settings_from(opts, dataset_path)
+    tree = load_ontology(require(opts, "ontology"))
+    problem = assemble(load_dataset(dataset_path), tree, settings)
     print(f"train/valid/test: "
           f"{len(problem.examples['train'])}/{len(problem.examples['valid'])}"
           f"/{len(problem.examples['test'])}, codes: {problem.tree.n_leaves}, "
@@ -224,13 +213,13 @@ def cmd_train(args) -> int:
     model, _ = run_training(problem, on_epoch=on_epoch)
     write_csv(out_dir / "history.csv", header, rows)
     save_vocabulary(problem.vocab, out_dir / "vocabulary.tsv")
-    if opts.value("export_graphs", False):
+    if settings.export_graphs:
         export_adjacency(problem.observation.matrix, out_dir / "observation_graph.txt")
         export_adjacency(problem.adjacency.adjacency, out_dir / "ontology_graph.txt")
     save_checkpoint(
         out_dir / "checkpoint", model, problem.vocab,
         hf_prefix=settings.hf_prefix, metric_ks=settings.metric_ks,
-        split={"counts": list(settings.split_counts), "seed": seed})
+        split={"counts": list(settings.split_counts), "seed": settings.seed})
     print(f"wrote {out_dir / 'history.csv'}")
     print(f"wrote {out_dir / 'checkpoint'}")
     return 0
@@ -252,17 +241,17 @@ def _split_examples(bundle, dataset_path: str, tag: str):
 
 def cmd_evaluate(args) -> int:
     opts = gather_options(args)
-    out_dir = Path(opts.require("out"))
+    out_dir = Path(require(opts, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = load_checkpoint(opts.require("checkpoint"))
-    if opts.has("task") and resolve_task(opts) != bundle.task:
-        raise ValueError(f"task {opts.get('task')!r} does not match the checkpoint's "
+    bundle = load_checkpoint(require(opts, "checkpoint"))
+    ks = metric_ks(opts, bundle.metric_ks)
+    if "task" in opts and resolve_task(opts) != bundle.task:
+        raise ValueError(f"task {opts['task']!r} does not match the checkpoint's "
                          f"{bundle.task!r}")
     tag = opts.get("split", "test")
     if tag not in ("test", "valid"):
         raise ValueError(f"unknown split {tag!r} (expected test or valid)")
-    examples = _split_examples(bundle, opts.require("dataset"), tag)
-    ks = opts.value("k", bundle.metric_ks)
+    examples = _split_examples(bundle, require(opts, "dataset"), tag)
     scores = predict_scores(bundle.model, examples)
     top = top_codes(scores, max(ks, default=1)) if bundle.task == "diagnosis" else None
     report = compute_metrics(scores, examples, bundle.task, ks,
@@ -301,9 +290,9 @@ def _load_history_file(path) -> list[dict]:
     return obj["visits"]
 
 
-def _score_history(bundle, opts: Options):
+def _score_history(bundle, opts: dict[str, str]):
     """The example built from the ``history`` file, its scores and note attention."""
-    visits = _load_history_file(opts.require("history"))
+    visits = _load_history_file(require(opts, "history"))
     example = history_to_example(visits, bundle.tree, bundle.vocab)
     [(scores, alpha)] = bundle.model.predict_examples([example])
     return example, scores, alpha
@@ -311,10 +300,10 @@ def _score_history(bundle, opts: Options):
 
 def cmd_predict(args) -> int:
     opts = gather_options(args)
-    top = opts.value("top", 20)
+    top = value(opts, "top", 20)
     if top < 1:
         raise ValueError(f"option 'top' must be at least 1, got {top}")
-    bundle = load_checkpoint(opts.require("checkpoint"))
+    bundle = load_checkpoint(require(opts, "checkpoint"))
     _, scores, _ = _score_history(bundle, opts)
     if bundle.task == "heart_failure":
         print(f"probability\t{float(scores[0])!r}")
@@ -324,8 +313,8 @@ def cmd_predict(args) -> int:
     print("code,score")
     for code, score in rows:
         print(f"{code},{score!r}")
-    if opts.has("out"):
-        out_dir = Path(opts.require("out"))
+    if "out" in opts:
+        out_dir = Path(opts["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / "predictions.csv", ["code", "score"], rows)
         print(f"wrote {out_dir / 'predictions.csv'}")
@@ -334,10 +323,10 @@ def cmd_predict(args) -> int:
 
 def cmd_export(args) -> int:
     opts = gather_options(args)
-    out_dir = Path(opts.require("out"))
+    out_dir = Path(require(opts, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = load_checkpoint(opts.require("checkpoint"))
-    what = opts.require("what")
+    bundle = load_checkpoint(require(opts, "checkpoint"))
+    what = require(opts, "what")
     if what == "code-embeddings":
         h = bundle.model.frozen_code_repr
         tree = load_ontology([tuple(edge) for edge in bundle.edges])

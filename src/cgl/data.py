@@ -39,6 +39,8 @@ __all__ = [
     "generate_synthetic",
 ]
 
+MIN_VISITS = 2  # a feature visit and a label visit
+
 
 @dataclass
 class Visit:
@@ -108,11 +110,11 @@ def _parse_patient(obj, where: str) -> Patient:
     return Patient(str(obj["patient"]), visits)
 
 
-def load_dataset(path, tree: CodeIndex | None = None, min_visits: int = 2) -> EhrDataset:
+def load_dataset(path, tree: CodeIndex | None = None) -> EhrDataset:
     """Load and validate a JSON-lines dataset.
 
     Visits without codes are dropped; patients left with fewer than
-    ``min_visits`` visits are rejected and counted in the report. With a
+    ``MIN_VISITS`` visits are rejected and counted in the report. With a
     code index supplied, every code must resolve to a leaf.
     """
     report = LoadReport()
@@ -130,7 +132,7 @@ def load_dataset(path, tree: CodeIndex | None = None, min_visits: int = 2) -> Eh
             kept = [v for v in patient.visits if v.codes]
             report.dropped_empty_visits += len(patient.visits) - len(kept)
             patient.visits = kept
-            if len(patient.visits) < min_visits:
+            if len(patient.visits) < MIN_VISITS:
                 report.rejected_short += 1
                 continue
             if tree is not None:
@@ -191,9 +193,9 @@ def split_dataset(dataset: EhrDataset, counts: tuple[int, int, int], seed: int) 
     Patients beyond the requested counts stay untagged and are ignored
     downstream.
     """
-    if len(counts) != 3:
-        raise ValueError(f"split_counts needs three values (train, valid, test), "
-                         f"got {tuple(counts)}")
+    if len(counts) != 3 or min(counts) < 0:
+        raise ValueError(f"split_counts needs three non-negative values (train, valid, "
+                         f"test), got {tuple(counts)}")
     n_train, n_valid, n_test = counts
     total = n_train + n_valid + n_test
     if total > len(dataset.patients):
@@ -235,7 +237,7 @@ class GeneratorConfig:
     partner_note_rate: float = 0.3
     hf_cluster: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("visits", "codes_per_visit", "words_per_note"):
             if len(getattr(self, name)) != 2:
                 raise ValueError(f"{name} needs two values (low, high), "
@@ -303,7 +305,6 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int, out_dir) -> dict:
 
     Deterministic in (cfg, seed): identical inputs give byte-identical files.
     """
-    cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

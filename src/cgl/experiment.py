@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import EhrDataset, _parse_patient, make_labels, patient_document, split_dataset
 from .graphs import build_cooccurrence, build_observation, build_ontology_adjacency
-from .model import (CollaborativeGraphModel, ModelConfig, PatientExample, build_example,
-                    fit, prepare_examples)
+from .model import (METRIC_KS, CollaborativeGraphModel, ModelConfig, PatientExample,
+                    build_example, fit, prepare_examples)
 from .ontology import CodeIndex, OntologyTree, pad_virtual_leaves
 from .text import Vocabulary, fit_vocabulary
 
@@ -23,11 +23,14 @@ __all__ = ["TrainSettings", "derive_seeds", "assemble", "train", "history_to_exa
 
 @dataclass
 class TrainSettings:
+    """The run keys of ``cgl train``; ``metric_ks`` is config key ``k``, and
+    ``export_graphs`` is read by the command, not by :func:`assemble`."""
     seed: int = 0
     split_counts: tuple[int, int, int] = (210, 30, 60)
-    metric_ks: tuple[int, ...] = (20, 40)
+    metric_ks: tuple[int, ...] = METRIC_KS
     cooccurrence_scope: str = "visit"
     hf_prefix: str | None = None
+    export_graphs: bool = False
     config: ModelConfig = field(default_factory=ModelConfig)
 
 

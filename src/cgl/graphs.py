@@ -66,7 +66,7 @@ def build_observation(dataset, tree: CodeIndex) -> ObservationGraph:
     return ObservationGraph(_incidence(groups, tree.n_leaves), index)
 
 
-def build_cooccurrence(dataset, tree: CodeIndex, scope: str = "visit") -> sparse.csr_matrix:
+def build_cooccurrence(dataset, tree: CodeIndex, scope: str) -> sparse.csr_matrix:
     """Symmetric binary co-occurrence over training feature visits, as CSR.
 
     The binarised X^T X of the visit (or patient) incidence X with its

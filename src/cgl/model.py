@@ -76,6 +76,8 @@ __all__ = [
 ]
 
 CLAMP_EPS = 1e-6
+# The recall cutoffs a run reports unless it names others (config key ``k``).
+METRIC_KS = (20, 40)
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -422,7 +424,7 @@ class CollaborativeGraphModel(FrozenScorer):
 
     def __init__(self, config: ModelConfig, tree: OntologyTree,
                  observation: ObservationGraph, adjacency: OntologyAdjacency,
-                 vocab_size: int, seed: int = 0):
+                 vocab_size: int, seed: int):
         self.config = config
         self.tree = tree
         self.n_codes = tree.n_leaves
@@ -585,13 +587,11 @@ class CollaborativeGraphModel(FrozenScorer):
 
 
 class AdamOptimizer:
-    def __init__(self, arrays: dict[str, np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, arrays: dict[str, np.ndarray], lr: float):
         self.arrays = arrays
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
@@ -618,7 +618,7 @@ def predict_scores(model: FrozenScorer, examples: list[PatientExample]) -> np.nd
 
 
 def compute_metrics(scores: np.ndarray, examples: list[PatientExample], task: str,
-                    ks=(20, 40), include_onset: bool = False,
+                    ks, include_onset: bool = False,
                     top: np.ndarray | None = None) -> dict[str, float]:
     """The task's metrics; every top-k recall reads one top-k selection.
 
@@ -650,9 +650,9 @@ def compute_metrics(scores: np.ndarray, examples: list[PatientExample], task: st
 
 def fit(model: CollaborativeGraphModel, train_examples: list[PatientExample],
         valid_examples: list[PatientExample] | None = None, *,
-        epochs: int | None = None, batch_size: int | None = None, seed: int = 0,
-        metric_ks=(20, 40), on_epoch=None) -> list[dict]:
-    """Adam training over patient mini-batches.
+        epochs: int | None = None, seed: int, metric_ks=METRIC_KS,
+        on_epoch=None) -> list[dict]:
+    """Adam training over ``config.batch_size``-patient mini-batches.
 
     Every step runs the graph layers over the full graph, then the temporal
     and note path for the batch patients. After each epoch the code features
@@ -664,15 +664,14 @@ def fit(model: CollaborativeGraphModel, train_examples: list[PatientExample],
         raise ValueError("empty training split")
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
-    batch_size = cfg.batch_size if batch_size is None else batch_size
     optimizer = AdamOptimizer(model.params.arrays, lr=cfg.learning_rate)
     rng = np.random.default_rng(seed)
     history: list[dict] = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(train_examples))
         losses = []
-        for start in range(0, len(order), batch_size):
-            batch = [train_examples[i] for i in order[start:start + batch_size]]
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train_examples[i] for i in order[start:start + cfg.batch_size]]
             leaves, loss, _, _ = model._train_pass(batch, update_stats=True)
             value = loss.item()
             if not math.isfinite(value):

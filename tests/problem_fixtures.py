@@ -65,7 +65,7 @@ def build_problem(task="diagnosis", seed=0, dataset=None, edges=None,
     tree = ontology.pad_virtual_leaves(tree, set(dataset.all_codes()))
     labels = data.make_labels(dataset, task, tree, hf_prefix=hf_prefix)
     obs = graphs.build_observation(dataset, tree)
-    cooc = graphs.build_cooccurrence(dataset, tree)
+    cooc = graphs.build_cooccurrence(dataset, tree, "visit")
     adj = graphs.build_ontology_adjacency(tree, cooc)
     vocab = text.fit_vocabulary(
         [data.patient_document(p) for p in dataset.split_patients("train")])

@@ -5,8 +5,7 @@ resolves each node's deferred products in one GEMM; every scatter-add runs at
 once. The eager sweep in ``eager_backward.py`` adds every contribution densely
 as it arrives. The two must give the same loss bits, gradients equal to
 1e-10, and the same bits wherever a gradient was never summed, and every case
-must agree with finite differences. The word embeddings' gradient is one
-scatter of the note stacks' word gradients, the longest notes first.
+must agree with finite differences.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 from cgl import autodiff as ad
 from cgl import model
-from cgl.autodiff import gather_rows
 from cgl.data import GeneratorConfig, generate_synthetic, load_dataset
 from cgl.experiment import TrainSettings, assemble
 from cgl.ontology import load_ontology
@@ -101,34 +99,6 @@ def test_wide_shaped_step_matches_eager_and_reruns_byte_identical(wide_shaped):
     program = net.loss_program(batch)
     first, _ = assert_matches_eager(program)
     assert_rerun_byte_identical(program, first)
-
-
-@pytest.mark.parametrize("name", ["fixture-diagnosis", "fixture-heart_failure", "train-small"])
-def test_word_gradient_is_one_scatter_of_the_note_stacks(problems, monkeypatch, name):
-    """``word_embed``'s gradient is one scatter-add of the note stacks'
-    (B, L, w) word gradients over their tokens, the longest notes first: the
-    order in which the reverse sweep reaches the stacks."""
-    net, batch, _ = problems[name]
-    gathers = []
-
-    def recording(table, indices):
-        out = gather_rows(table, indices)
-        gathers.append((table, out))
-        return out
-
-    monkeypatch.setattr(ad, "gather_rows", recording)
-    loss, leaves = net.loss_program(batch)()
-    monkeypatch.undo()
-    [words] = [out for table, out in gathers if table is leaves["word_embed"]]
-    stacks = {out.shape[1]: out for table, out in gathers if table is words}
-    lengths = np.array([len(ex.note_tokens) for ex in batch])
-    assert sorted(stacks) == sorted(set(lengths[lengths > 0]))
-    by_node = tape_backward_by_node(loss)
-    want = np.zeros_like(leaves["word_embed"].values)
-    for n in sorted(stacks, reverse=True):
-        tokens = np.stack([ex.note_tokens for ex in batch if len(ex.note_tokens) == n])
-        np.add.at(want, tokens.ravel(), by_node[stacks[n].node_id].reshape(tokens.size, -1))
-    assert leaves["word_embed"].grad.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

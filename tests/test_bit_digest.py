@@ -32,9 +32,12 @@ def test_two_runs_print_equal_digests():
         items.setdefault(workload, []).append(item)
     assert list(items) == list(WORKLOADS)
     for names in items.values():
-        grads = names[1:-5]
-        assert names[0] == "step.loss"
+        grads = names[4:-11]
+        assert names[:4] == ["generate.ontology", "generate.dataset", "generate.manifest",
+                             "step.loss"]
         assert {"step.grad.head_weight", "step.grad.word_embed"} <= set(grads)
         assert all(n.startswith("step.grad.") for n in grads) and grads == sorted(grads)
-        assert names[-5:] == ["fit.history", "fit.params", "predict_scores",
-                              "evaluate.report", "evaluate.per_patient"]
+        assert names[-11:] == ["fit.history", "fit.params", "predict_scores",
+                               "evaluate.report", "evaluate.per_patient", "predict.stdout",
+                               "export.code_embeddings", "export.attention",
+                               "train.history", "train.manifest", "train.arrays"]

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from cgl import checkpoint, cli, model, ontology
-from cgl.cli import (_split_examples, build_parser, gather_options, generator_config_from,
-                     main, model_config_from, resolve_task)
+from cgl.cli import _split_examples, main
 from cgl.data import GeneratorConfig, load_dataset, split_dataset
-from cgl.experiment import derive_seeds, history_to_example
+from cgl.experiment import TrainSettings, derive_seeds, history_to_example
 from problem_fixtures import build_problem
 
 TINY_CONFIG = """
@@ -394,7 +393,8 @@ def test_save_checkpoint_refuses_a_split_that_would_not_load(tmp_path, split):
     prob = build_problem()
     model.fit(prob.model, prob.examples, seed=0, epochs=1)
     with pytest.raises(ValueError, match="'split'"):
-        checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab, split=split)
+        checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab, split=split,
+                                   metric_ks=(3,))
     assert not (tmp_path / "ck").exists()
 
 
@@ -403,7 +403,7 @@ def test_checkpoint_loads_as_frozen_scorer(tmp_path, monkeypatch, task):
     prob = build_problem(task=task)
     model.fit(prob.model, prob.examples, seed=0, epochs=2)
     before = model.predict_scores(prob.model, prob.examples)
-    checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab,
+    checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab, metric_ks=(3,),
                                split={"counts": [4, 0, 0], "seed": 0})
 
     def refuse(*args, **kwargs):
@@ -420,7 +420,7 @@ def test_checkpoint_loads_as_frozen_scorer(tmp_path, monkeypatch, task):
 def test_predict_heart_failure_prints_a_plain_number(tmp_path, capsys):
     prob = build_problem(task="heart_failure")
     model.fit(prob.model, prob.examples, seed=0, epochs=2)
-    checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab,
+    checkpoint.save_checkpoint(tmp_path / "ck", prob.model, prob.vocab, metric_ks=(3,),
                                split={"counts": [4, 0, 0], "seed": 0})
     patient = prob.dataset.patients[0]
     hist_path = tmp_path / "history.json"
@@ -642,14 +642,22 @@ def test_export_code_embeddings_leaves_differ_exits_2(workspace, tmp_path, capsy
 # config schema
 
 
+# The run keys of `cgl train` and the TrainSettings field each one sets.
+RUN_FIELDS = {"seed": "seed", "split_counts": "split_counts", "k": "metric_ks",
+              "cooccurrence_scope": "cooccurrence_scope", "hf_prefix": "hf_prefix",
+              "export_graphs": "export_graphs"}
+# Values for the keys whose default's type does not give one that validates.
+OTHER_VALUES = {"task": "heart_failure", "cooccurrence_scope": "patient", "hf_prefix": "c00"}
+
+
 def other_value(default):
-    """A value of the default's type that differs from it."""
+    """A valid value of the default's type that differs from it."""
     if isinstance(default, bool):
         return not default
     if isinstance(default, tuple):
         return tuple(v + 1 for v in default)
-    if isinstance(default, str):
-        return "heart_failure"
+    if isinstance(default, float):
+        return default / 2
     return default + 1
 
 
@@ -659,17 +667,37 @@ def config_text(value):
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
+class Captured(Exception):
+    """Raised in place of the call a command makes with its parsed settings."""
+
+
+def capture(*args):
+    raise Captured(*args)
+
+
 @pytest.mark.parametrize("key", [f.name for f in fields(model.ModelConfig)]
-                         + ["gen_" + f.name for f in fields(GeneratorConfig)])
-def test_every_config_field_is_settable(tmp_path, key):
-    cls = GeneratorConfig if key.startswith("gen_") else model.ModelConfig
-    name = key.removeprefix("gen_")
-    want = other_value(next(f.default for f in fields(cls) if f.name == name))
+                         + ["gen_" + f.name for f in fields(GeneratorConfig)] + list(RUN_FIELDS))
+def test_every_config_field_is_settable(workspace, tmp_path, monkeypatch, key):
+    """Each key set in a config file reaches the settings the command passes
+    on: `cgl generate` to the generator, `cgl train` to `assemble`."""
+    if key.startswith("gen_"):
+        cls, name, command = GeneratorConfig, key.removeprefix("gen_"), "generate"
+        monkeypatch.setattr(cli, "generate_synthetic", capture)
+        args = []
+    else:
+        cls = TrainSettings if key in RUN_FIELDS else model.ModelConfig
+        name, command = RUN_FIELDS.get(key, key), "train"
+        monkeypatch.setattr(cli, "assemble", capture)
+        args = ["--ontology", str(workspace["gen"] / "ontology.tsv"),
+                "--dataset", str(workspace["gen"] / "dataset.jsonl")]
+    want = OTHER_VALUES.get(key) or other_value(
+        next(f.default for f in fields(cls) if f.name == name))
     cfg = tmp_path / "one.cfg"
     cfg.write_text(f"{key} = {config_text(want)}\n", encoding="utf-8")
-    opts = gather_options(build_parser().parse_args(["train", "--config", str(cfg)]))
-    config = (generator_config_from(opts) if cls is GeneratorConfig
-              else model_config_from(opts, resolve_task(opts)))
+    with pytest.raises(Captured) as called:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *args])
+    settings = called.value.args[0 if command == "generate" else 2]
+    config = settings if cls is not model.ModelConfig else settings.config
     assert getattr(config, name) == want
 
 
@@ -742,17 +770,50 @@ def test_evaluate_bad_checkpoint_split_exits_2(workspace, tmp_path, capsys, edit
     assert not (tmp_path / "eval" / "report.txt").exists()
 
 
-@pytest.mark.parametrize("counts", ["200,50", "16,4,4,4"])
-def test_split_counts_needs_three_values(workspace, tmp_path, capsys, counts):
-    cfg = tmp_path / "split.cfg"
-    cfg.write_text(f"split_counts = {counts}\n", encoding="utf-8")
+def train_refused(workspace, tmp_path, capsys, line: str, *args) -> str:
+    """Run `cgl train` on the workspace's run, which trains, with ``line``
+    added to its config and ``args`` to the flags; assert that it exits 2
+    before training, and return what it printed to stderr."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(workspace["cfg"].read_text(encoding="utf-8") + line + "\n",
+                   encoding="utf-8")
     capsys.readouterr()
-    rc = main(["train", "--config", str(cfg),
+    rc = main(["train", "--config", str(cfg), *args,
                "--ontology", str(workspace["gen"] / "ontology.tsv"),
                "--dataset", str(workspace["gen"] / "dataset.jsonl"),
                "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "split_counts" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "train/valid/test:" not in out
+    assert not (tmp_path / "run" / "history.csv").exists()
+    return err
+
+
+@pytest.mark.parametrize("counts", ["200,50", "16,4,4,4", "16,-4,4", "-5,4,4"])
+def test_split_counts_needs_three_values(workspace, tmp_path, capsys, counts):
+    assert "split_counts" in train_refused(workspace, tmp_path, capsys,
+                                           f"split_counts = {counts}")
+
+
+@pytest.mark.parametrize("args,line", [(["--k", "0"], ""), (["--k", "5,-1"], ""), ([], "k = 0")],
+                         ids=["flag-zero", "flag-negative", "config-zero"])
+def test_train_k_below_one_exits_2_before_training(workspace, tmp_path, capsys, args, line):
+    assert "'k'" in train_refused(workspace, tmp_path, capsys, line, *args)
+
+
+@pytest.mark.parametrize("k", ["0", "5,-1"])
+def test_evaluate_k_below_one_exits_2_before_scoring(workspace, tmp_path, capsys,
+                                                     monkeypatch, k):
+    def refuse(*args):
+        raise AssertionError("scored the split before checking 'k'")
+
+    monkeypatch.setattr(cli, "predict_scores", refuse)
+    capsys.readouterr()
+    rc = main(["evaluate", "--checkpoint", str(workspace["run"] / "checkpoint"),
+               "--dataset", str(workspace["gen"] / "dataset.jsonl"),
+               "--k", k, "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert "'k'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["gen_visits = 2,3,4", "gen_codes_per_visit = 3",

@@ -96,7 +96,7 @@ def test_unknown_code_message_comes_from_the_one_resolver(tmp_path):
     vocab = text.fit_vocabulary([[]])
     for call in (lambda: data.make_labels(ds, "diagnosis", tree),
                  lambda: graphs.build_observation(ds, tree),
-                 lambda: graphs.build_cooccurrence(ds, tree),
+                 lambda: graphs.build_cooccurrence(ds, tree, "visit"),
                  lambda: model.build_example("p1", ds.patients[0].visits, [], tree, vocab)):
         with pytest.raises(data.DataError) as err:
             call()
@@ -278,8 +278,9 @@ def test_generator_deterministic(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("counts", [(3, 1), (2, 1, 1, 0), ()])
+@pytest.mark.parametrize("counts", [(3, 1), (2, 1, 1, 0), (), (3, -1, 0), (-1, 2, 2)])
 def test_split_dataset_needs_three_counts(counts):
+    """Three non-negative counts, or an error that names ``split_counts``."""
     ds = data.EhrDataset([data.Patient(f"p{i}", [data.Visit(["a"]), data.Visit(["a"])])
                           for i in range(4)])
     with pytest.raises(ValueError, match="split_counts"):

@@ -92,7 +92,7 @@ def test_observation_matches_brute_force():
 def test_cooccurrence_within_visit():
     tree = flat_tree(["c0", "c1", "c2"])
     ds = make_dataset([("u1", "train", [["c0", "c1"], ["c2"]])])
-    b = gr.build_cooccurrence(ds, tree)
+    b = gr.build_cooccurrence(ds, tree, "visit")
     assert sparse.isspmatrix_csr(b)
     assert b[0, 1] == 1.0 and b[1, 0] == 1.0
     assert b[0, 2] == 0.0  # never co-visit
@@ -121,7 +121,7 @@ def test_cooccurrence_matches_brute_force():
                   for _ in range(int(rng.integers(2, 5)))]
         records.append((f"u{u}", "train", visits))
     ds = make_dataset(records)
-    assert np.array_equal(gr.build_cooccurrence(ds, tree).toarray(),
+    assert np.array_equal(gr.build_cooccurrence(ds, tree, "visit").toarray(),
                           brute_cooccurrence(ds, tree))
 
 
@@ -228,7 +228,7 @@ def test_rebuild_is_bit_identical():
         records.append((f"u{u}", "train", visits))
     ds = make_dataset(records)
     for build in (lambda: gr.build_observation(ds, tree).matrix,
-                  lambda: gr.build_cooccurrence(ds, tree)):
+                  lambda: gr.build_cooccurrence(ds, tree, "visit")):
         m1, m2 = build(), build()
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(m1, part), getattr(m2, part))
@@ -257,7 +257,7 @@ def test_export_adjacency_matches_dense_writer(tmp_path):
     records = [(f"u{u}", "train", [list(rng.choice(codes, size=3, replace=False))
                                    for _ in range(3)]) for u in range(6)]
     ds = make_dataset(records)
-    cooc = gr.build_cooccurrence(ds, tree)
+    cooc = gr.build_cooccurrence(ds, tree, "visit")
     # unsorted indices, an explicit zero, a duplicate entry and values that need %g
     odd = sparse.csr_matrix((np.array([2.5e-7, 0.0, 3.0, 1.25, 1.0]),
                              np.array([3, 1, 0, 2, 2]), np.array([0, 3, 3, 5])), shape=(3, 4))

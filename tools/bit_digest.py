@@ -7,6 +7,8 @@ seed 1) it generates the workload's corpus, assembles it and builds its models
 and checkpoint through `perfbench/worker.py`'s `Job`, as the benchmark does,
 and prints `<workload> <item> <sha256>` lines for:
 
+- `generate.ontology`, `generate.dataset` and `generate.manifest`: the files
+  that `cgl generate` writes with the workload's corpus as `gen_` keys;
 - `step.loss` and `step.grad.<name>`: the loss and every leaf gradient of one
   train-mode step on the first 32 training patients;
 - `fit.history` and `fit.params`: a one-epoch `fit` over the first two
@@ -14,7 +16,13 @@ and prints `<workload> <item> <sha256>` lines for:
   batch-norm statistic after it;
 - `predict_scores`: the fitted model's scores of the test split;
 - `evaluate.report` and `evaluate.per_patient`: the files that
-  `cgl evaluate` writes for the test split of a checkpoint of that model.
+  `cgl evaluate` writes for the test split of a checkpoint of that model;
+- `predict.stdout`: what `cgl predict` prints for the first test patient's
+  history, scored by that checkpoint;
+- `export.code_embeddings` and `export.attention`: the files of both kinds of
+  `cgl export` of that checkpoint, the attention for the same history;
+- `train.history`, `train.manifest` and `train.arrays`: the files of a
+  one-epoch `cgl train` with the workload's model keys and split.
 
 --src picks the `cgl` package to import (default: this repository's
 `src`), so one script digests any revision: run it once per revision, each in
@@ -62,15 +70,45 @@ def history_digest(history: list[dict]) -> str:
     return sha(json.dumps(rows, sort_keys=True).encode())
 
 
+def config_text(keys: dict, prefix: str = "") -> str:
+    """``key = value`` lines, a list as comma-separated values."""
+    def text(v):
+        if isinstance(v, (list, tuple)):
+            return ",".join(map(str, v))
+        return str(v).lower() if isinstance(v, bool) else str(v)
+    return "".join(f"{prefix}{key} = {text(v)}\n" for key, v in keys.items())
+
+
+def run_cli(cgl, *argv) -> str:
+    """``cgl`` with ``argv``; what it prints, or an exit on a non-zero code."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cgl.cli.main([str(a) for a in argv])
+    if rc != 0:
+        raise SystemExit(f"cgl {argv[0]} exited with {rc}")
+    return buf.getvalue()
+
+
+def file_digests(prefix: str, directory: Path, names: dict[str, str]) -> list[tuple[str, str]]:
+    return [(f"{prefix}.{item}", sha((directory / name).read_bytes()))
+            for item, name in names.items()]
+
+
 def digest_workload(worker, spec: dict, work: Path) -> list[tuple[str, str]]:
     cgl = worker.cgl
+    out = []
+    (work / "corpus.cfg").write_text(config_text(spec["corpus"], "gen_"), encoding="utf-8")
+    run_cli(cgl, "generate", "--config", work / "corpus.cfg", "--seed", SEED,
+            "--out", work / "generate")
+    out += file_digests("generate", work / "generate", {
+        "ontology": "ontology.tsv", "dataset": "dataset.jsonl",
+        "manifest": "dataset.manifest.json"})
     job = worker.Job({"workload": spec, "seed": SEED, "seconds": 0, "trace": False,
                       "work": str(work), "phase": "gen"})
     worker.phase_gen(job)
     problem = job.load_problem()
     batch = problem.settings.config.batch_size
 
-    out = []
     train = problem.examples["train"]
     leaves, loss, _, _ = job.new_model(problem)._train_pass(train[:batch], update_stats=True)
     loss.backward()
@@ -89,15 +127,31 @@ def digest_workload(worker, spec: dict, work: Path) -> list[tuple[str, str]]:
     out.append(("predict_scores", array_digest({"scores": scores})))
 
     job.save(model, problem)
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = cgl.cli.main(["evaluate", "--checkpoint", str(job.checkpoint),
-                           "--dataset", str(job.corpus / "dataset.jsonl"),
-                           "--out", str(work / "evaluate")])
-    if rc != 0:
-        raise SystemExit(f"cgl evaluate exited with {rc}")
-    out.append(("evaluate.report", sha((work / "evaluate" / "report.txt").read_bytes())))
-    out.append(("evaluate.per_patient",
-                sha((work / "evaluate" / "per_patient.csv").read_bytes())))
+    dataset = job.corpus / "dataset.jsonl"
+    run_cli(cgl, "evaluate", "--checkpoint", job.checkpoint, "--dataset", dataset,
+            "--out", work / "evaluate")
+    out += file_digests("evaluate", work / "evaluate", {
+        "report": "report.txt", "per_patient": "per_patient.csv"})
+
+    job.write_histories(problem)
+    patient = min(job.histories.iterdir())
+    printed = run_cli(cgl, "predict", "--checkpoint", job.checkpoint, "--history", patient)
+    out.append(("predict.stdout", sha(printed.encode())))
+    run_cli(cgl, "export", "--checkpoint", job.checkpoint, "--what", "code-embeddings",
+            "--out", work / "export")
+    run_cli(cgl, "export", "--checkpoint", job.checkpoint, "--what", "attention",
+            "--history", patient, "--out", work / "export")
+    out += file_digests("export", work / "export", {
+        "code_embeddings": "code_embeddings.csv", "attention": "attention.csv"})
+
+    (work / "train.cfg").write_text(config_text(
+        {**spec["model"], "split_counts": spec["split"], "epochs": 1}), encoding="utf-8")
+    run_cli(cgl, "train", "--config", work / "train.cfg", "--seed", SEED,
+            "--ontology", job.corpus / "ontology.tsv", "--dataset", dataset,
+            "--out", work / "train")
+    out += file_digests("train", work / "train", {
+        "history": "history.csv", "manifest": "checkpoint/manifest.json",
+        "arrays": "checkpoint/arrays.bin"})
     return out
 
 
